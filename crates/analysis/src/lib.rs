@@ -41,6 +41,8 @@
 //! empty in a healthy tree. A baseline entry matching no current finding is
 //! *stale* and fails the lint (prune with `--prune-baseline`).
 
+#![forbid(unsafe_code)]
+
 pub mod functions;
 pub mod lexer;
 pub mod sarif;

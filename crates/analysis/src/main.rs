@@ -11,6 +11,8 @@
 //! stale entries (without `--prune-baseline`), or a model check failed,
 //! 2 on usage/IO errors.
 
+#![forbid(unsafe_code)]
+
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 use std::process::ExitCode;

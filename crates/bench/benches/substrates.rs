@@ -97,6 +97,74 @@ fn bench_vm() {
     }
 }
 
+/// FNV-1a step over one pfn, matching the golden-digest hash family.
+fn fnv1a(mut h: u64, v: u64) -> u64 {
+    for b in v.to_le_bytes() {
+        h ^= b as u64;
+        h = h.wrapping_mul(0x100000001b3);
+    }
+    h
+}
+
+/// Seeded alloc/free churn on a 4M-frame heterogeneous `FrameSpace` (four
+/// regions of 1M frames, the scale=1 regime the hierarchical-bitmap
+/// allocator exists for). Every iteration replays the same seeded op
+/// sequence on a fresh space and must produce the same FNV fingerprint of
+/// the pfn sequence; a mismatch is allocator nondeterminism.
+fn bench_frames() {
+    use moca_common::PAGE_SIZE;
+    use moca_vm::frames::regions_from_capacities;
+    use moca_vm::FrameSpace;
+
+    const FRAMES_PER_REGION: u64 = 1 << 20;
+    const OPS: u64 = 1_000_000;
+    let caps: Vec<(ModuleKind, usize, u64)> = ModuleKind::ALL
+        .iter()
+        .enumerate()
+        .map(|(ch, &k)| (k, ch, FRAMES_PER_REGION * PAGE_SIZE))
+        .collect();
+    // Rotations of the full kind order, so the churn exercises the
+    // preference-fallback walk as well as the per-kind stripe state.
+    let prefs: [[ModuleKind; 4]; 4] = std::array::from_fn(|r| {
+        std::array::from_fn(|i| ModuleKind::ALL[(r + i) % ModuleKind::ALL.len()])
+    });
+
+    let mut g = Group::new("frames");
+    g.sample_size(5).throughput_elems(OPS);
+    let mut fingerprint: Option<u64> = None;
+    g.bench("alloc-free-churn-4M-frames", || {
+        let mut fs = FrameSpace::new(regions_from_capacities(&caps));
+        let mut rng = DetRng::new(0xb17a_110c, 0);
+        let mut live: Vec<u64> = Vec::new();
+        let mut digest = 0xcbf29ce484222325u64;
+        for _ in 0..OPS {
+            // Roughly balanced churn with a bounded live set: enough
+            // simultaneous frees per region to spill the LIFO cache.
+            if !live.is_empty() && (live.len() >= 250_000 || rng.chance(0.45)) {
+                let i = rng.below(live.len() as u64) as usize;
+                let pfn = live.swap_remove(i);
+                fs.free(pfn);
+                digest = fnv1a(digest, pfn | 1 << 63);
+            } else if let Some((pfn, _)) = fs.alloc_by_preference(&prefs[rng.below(4) as usize]) {
+                live.push(pfn);
+                digest = fnv1a(digest, pfn);
+            }
+        }
+        assert_eq!(
+            *fingerprint.get_or_insert(digest),
+            digest,
+            "frame churn iterations disagree on the pfn sequence: allocator nondeterminism"
+        );
+        let budget = fs.total_frames() / 4 + 64 * 1024;
+        assert!(
+            (fs.alloc_bytes() as u64) < budget,
+            "allocator bookkeeping {} B not bitmap-bounded (budget {budget} B)",
+            fs.alloc_bytes()
+        );
+        digest
+    });
+}
+
 fn bench_workload_gen() {
     use moca_cpu::InstrStream;
     use moca_workloads::{app_by_name, AppRun, InputSet};
@@ -152,6 +220,7 @@ fn main() {
     bench_cache();
     bench_dram_channel();
     bench_vm();
+    bench_frames();
     bench_workload_gen();
     bench_full_system();
 }

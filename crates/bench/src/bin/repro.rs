@@ -1,12 +1,15 @@
 //! Regenerate the paper's tables and figures.
 //!
 //! ```text
-//! repro [--quick] [--quiet] [--jobs N] [--step-threads N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...
-//! repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--step-threads N] [--capacity-scale F] [--out DIR] [--top N]
+//! repro [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...
+//! repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--top N]
 //!
 //! targets: table1 table2 table3 fig1 fig2 fig5 fig8 fig9 fig10 fig11
 //!          fig12 fig13 fig14 fig15 fig16 thresholds migration ablations all
 //! ```
+//!
+//! An argument that is neither a known flag nor a known target is an
+//! error (usage, exit 2) rather than a silently ignored target.
 //!
 //! `repro explain` runs one attribution-instrumented evaluation (default
 //! `mcf` on `ddr3`; MEM is one of `ddr3 lp rl hbm heter1 heter2 heter3`),
@@ -28,9 +31,8 @@
 //!
 //! `--jobs N` caps the host worker threads used to fan simulations out
 //! (also settable via the `MOCA_JOBS` environment variable; the flag wins).
-//! `--step-threads N` additionally parallelizes core stepping *inside*
-//! each simulation (`MOCA_STEP_THREADS`; default sequential). Results are
-//! bit-identical regardless of either count.
+//! Each simulation runs on one thread; results are bit-identical regardless
+//! of the count.
 //!
 //! Results are printed as aligned tables and saved as JSON under `--out`
 //! (default `results/`). Progress lines go to stderr and to
@@ -42,6 +44,8 @@
 //! counters, and host-side phase spans. `--metrics-window N` sets the
 //! counter sampling period in cycles (default 50000 when tracing).
 
+#![forbid(unsafe_code)]
+
 use moca::pipeline::PolicyKind;
 use moca_bench::experiments as exp;
 use moca_bench::{Scale, SeededPipeline, Table};
@@ -50,13 +54,35 @@ use moca_telemetry::{write_chrome_trace, HostProfiler, ProgressReporter, RingSin
 use std::collections::BTreeSet;
 use std::path::PathBuf;
 
+/// Every target `all` expands to, in usage-text order.
+const TARGETS: [&str; 18] = [
+    "table1",
+    "table2",
+    "table3",
+    "fig1",
+    "fig2",
+    "fig5",
+    "fig8",
+    "fig9",
+    "fig10",
+    "fig11",
+    "fig12",
+    "fig13",
+    "fig14",
+    "fig15",
+    "fig16",
+    "thresholds",
+    "migration",
+    "ablations",
+];
+
 fn usage() -> ! {
     eprintln!(
-        "usage: repro [--quick] [--quiet] [--jobs N] [--step-threads N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...\n\
-         \x20      repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--step-threads N] [--capacity-scale F] [--out DIR] [--top N]\n\
-         targets: table1 table2 table3 fig1 fig2 fig5 fig8 fig9 fig10 fig11 \
-         fig12 fig13 fig14 fig15 fig16 thresholds migration ablations all\n\
-         mems:    ddr3 lp rl hbm heter1 heter2 heter3"
+        "usage: repro [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--trace FILE] [--metrics-window N] <target>...\n\
+         \x20      repro explain [APP] [MEM] [--quick] [--quiet] [--jobs N] [--capacity-scale F] [--out DIR] [--top N]\n\
+         targets: {} all\n\
+         mems:    ddr3 lp rl hbm heter1 heter2 heter3",
+        TARGETS.join(" ")
     );
     std::process::exit(2);
 }
@@ -83,19 +109,6 @@ fn parse_capacity_scale(n: &str) -> f64 {
     }
 }
 
-fn set_step_threads(n: &str) {
-    match n.parse::<usize>() {
-        // `System::new` resolves MOCA_STEP_THREADS, so exporting it here
-        // reaches every simulation the targets construct. Results are
-        // byte-identical for any value (see DESIGN.md §9).
-        Ok(v) if v > 0 => std::env::set_var("MOCA_STEP_THREADS", v.to_string()),
-        _ => {
-            eprintln!("repro: --step-threads wants a positive thread count, got {n:?}");
-            std::process::exit(2);
-        }
-    }
-}
-
 /// `repro explain`: one attribution-instrumented run, rendered + JSON.
 fn explain_main(args: &[String]) -> ! {
     let mut spec = moca_bench::explain::ExplainSpec::default();
@@ -108,7 +121,6 @@ fn explain_main(args: &[String]) -> ! {
             "--quick" => spec.quick = true,
             "--quiet" => quiet = true,
             "--jobs" => set_jobs(&it.next().cloned().unwrap_or_else(|| usage())),
-            "--step-threads" => set_step_threads(&it.next().cloned().unwrap_or_else(|| usage())),
             "--capacity-scale" => {
                 spec.capacity_scale = Some(parse_capacity_scale(
                     &it.next().cloned().unwrap_or_else(|| usage()),
@@ -126,6 +138,10 @@ fn explain_main(args: &[String]) -> ! {
                 }
             }
             "-h" | "--help" => usage(),
+            p if p.starts_with('-') => {
+                eprintln!("repro explain: unknown flag {p:?}");
+                usage();
+            }
             p => positionals.push(p),
         }
     }
@@ -188,7 +204,6 @@ fn main() {
             "--quick" => scale = Scale::Quick,
             "--quiet" => quiet = true,
             "--jobs" => set_jobs(&args.next().unwrap_or_else(|| usage())),
-            "--step-threads" => set_step_threads(&args.next().unwrap_or_else(|| usage())),
             "--capacity-scale" => {
                 capacity_scale = parse_capacity_scale(&args.next().unwrap_or_else(|| usage()));
             }
@@ -207,8 +222,12 @@ fn main() {
                 }
             }
             "-h" | "--help" => usage(),
-            t => {
+            t if t == "all" || TARGETS.contains(&t) => {
                 targets.insert(t.to_string());
+            }
+            other => {
+                eprintln!("repro: unknown argument {other:?}");
+                usage();
             }
         }
     }
@@ -216,28 +235,7 @@ fn main() {
         usage();
     }
     if targets.remove("all") {
-        for t in [
-            "table1",
-            "table2",
-            "table3",
-            "fig1",
-            "fig2",
-            "fig5",
-            "fig8",
-            "fig9",
-            "fig10",
-            "fig11",
-            "fig12",
-            "fig13",
-            "fig14",
-            "fig15",
-            "fig16",
-            "thresholds",
-            "migration",
-            "ablations",
-        ] {
-            targets.insert(t.to_string());
-        }
+        targets.extend(TARGETS.iter().map(|t| t.to_string()));
     }
 
     let mut progress = ProgressReporter::new(Some(&out_dir.join("repro_progress.log")));
@@ -296,9 +294,8 @@ fn main() {
                 "traced exemplar run (mcf, Heter config1, MOCA, {window}-cycle windows) ..."
             ));
             let mut p = sp.pipeline.clone();
-            let mut tel = Telemetry::with_sink(Box::new(RingSink::new(200_000)))
-                .with_window(window)
-                .with_host_profiling();
+            let mut tel =
+                Telemetry::with_sink(Box::new(RingSink::new(200_000))).with_window(window);
             p.emit_classifications(&mut tel);
             let (res, mut tel) = profiler.time("traced-run", || {
                 p.evaluate_with_telemetry(
@@ -320,7 +317,6 @@ fn main() {
                 Err(e) => eprintln!("warning: could not write trace: {e}"),
             }
             print!("{}", tel.registry.render_summary());
-            print!("{}", tel.components.render_summary());
         }
 
         let mut sp = sp;

@@ -1,21 +1,16 @@
-//! `moca-bench diff`: compare two committed JSON reports with noise
-//! tolerances.
+//! `moca-bench diff`: compare two `repro explain` JSON reports
+//! (`moca-explain/v1`) with a tolerance.
 //!
-//! Understands both report schemas this repo emits:
+//! Compares simulated runtime cycles and the per-core CPI-stack buckets; a
+//! runtime increase of at least the tolerance is a regression (simulated
+//! cycles are deterministic, so any change at all is worth a line in the
+//! table).
 //!
-//! * `moca-bench-perf/v1` (`BENCH_cycle_engine.json`) — compares
-//!   cycles/host-second per basket entry; memory-bound entries whose
-//!   throughput dropped by at least the tolerance are regressions.
-//! * `moca-explain/v1` (`repro explain` output) — compares simulated
-//!   runtime cycles and the per-core CPI-stack buckets; a runtime increase
-//!   of at least the tolerance is a regression (simulated cycles are
-//!   deterministic, so any change at all is worth a line in the table).
-//!
-//! Malformed, missing, schema-less, or *empty* inputs are hard errors, not
-//! silent passes: a truncated baseline must never green-light a regression.
+//! Malformed, missing, schema-less, unknown-schema, or *empty* inputs are
+//! hard errors, not silent passes: a truncated baseline must never
+//! green-light a regression.
 
 use crate::explain::{ExplainReport, EXPLAIN_SCHEMA};
-use crate::perf::{PerfReport, PERF_SCHEMA};
 use std::path::Path;
 
 /// Outcome of a diff: rendered table lines plus the regression verdicts.
@@ -27,14 +22,12 @@ pub struct DiffResult {
     pub regressions: Vec<String>,
 }
 
-/// `drop >= tolerance` with a whisker of float slack, so a synthetic
-/// exactly-at-threshold regression trips the gate.
-fn drops_at_least(base: f64, now: f64, tolerance: f64) -> bool {
-    base > 0.0 && (base - now) / base >= tolerance - 1e-12
-}
-
+/// `now` exceeds `base` by at least `tolerance` (a fraction): measured
+/// relative to `now`, that is a drop of `tolerance / (1 + tolerance)`. A
+/// whisker of float slack lets a synthetic exactly-at-threshold regression
+/// trip the gate.
 fn grows_at_least(base: f64, now: f64, tolerance: f64) -> bool {
-    drops_at_least(now, base, tolerance / (1.0 + tolerance))
+    now > 0.0 && (now - base) / now >= tolerance / (1.0 + tolerance) - 1e-12
 }
 
 fn read_report(path: &Path) -> Result<(String, String), String> {
@@ -63,86 +56,14 @@ pub fn diff_files(base: &Path, fresh: &Path, tolerance: f64) -> Result<DiffResul
             fresh.display()
         ));
     }
-    match schema_a.as_str() {
-        PERF_SCHEMA => {
-            let a: PerfReport = serde_json::from_str(&body_a)
-                .map_err(|e| format!("{}: bad perf report: {e}", base.display()))?;
-            let b: PerfReport = serde_json::from_str(&body_b)
-                .map_err(|e| format!("{}: bad perf report: {e}", fresh.display()))?;
-            diff_perf(base, fresh, &a, &b, tolerance)
-        }
-        EXPLAIN_SCHEMA => {
-            let a: ExplainReport = serde_json::from_str(&body_a)
-                .map_err(|e| format!("{}: bad explain report: {e}", base.display()))?;
-            let b: ExplainReport = serde_json::from_str(&body_b)
-                .map_err(|e| format!("{}: bad explain report: {e}", fresh.display()))?;
-            diff_explain(base, fresh, &a, &b, tolerance)
-        }
-        other => Err(format!("unsupported report schema {other:?}")),
+    if schema_a != EXPLAIN_SCHEMA {
+        return Err(format!("unsupported report schema {schema_a:?}"));
     }
-}
-
-fn diff_perf(
-    base: &Path,
-    fresh: &Path,
-    a: &PerfReport,
-    b: &PerfReport,
-    tolerance: f64,
-) -> Result<DiffResult, String> {
-    for (path, r) in [(base, a), (fresh, b)] {
-        if r.entries.is_empty() {
-            return Err(format!(
-                "{}: perf report has an empty basket — refusing to compare",
-                path.display()
-            ));
-        }
-    }
-    let mut out = DiffResult::default();
-    if a.scale != b.scale {
-        out.lines.push(format!(
-            "note: comparing {} baseline against {} run — wall-clock numbers are not like-for-like",
-            a.scale, b.scale
-        ));
-    }
-    let mut matched = 0;
-    for e in &b.entries {
-        let Some(be) = a.entries.iter().find(|be| be.name == e.name) else {
-            out.lines
-                .push(format!("{:<12} new entry, no baseline", e.name));
-            continue;
-        };
-        matched += 1;
-        let base_cps = be.cycles_per_host_second;
-        let now_cps = e.cycles_per_host_second;
-        let delta = if base_cps > 0.0 {
-            (now_cps / base_cps - 1.0) * 100.0
-        } else {
-            0.0
-        };
-        let regressed = e.memory_bound && drops_at_least(base_cps, now_cps, tolerance);
-        out.lines.push(format!(
-            "{:<12} {:>12.2} -> {:>12.2} Mcyc/s ({:+.1}%){}",
-            e.name,
-            base_cps / 1e6,
-            now_cps / 1e6,
-            delta,
-            if regressed { "  REGRESSION" } else { "" }
-        ));
-        if be.sim_cycles != e.sim_cycles && be.instr_target == e.instr_target {
-            out.lines.push(format!(
-                "{:<12} simulated cycles changed: {} -> {} (same instruction target)",
-                e.name, be.sim_cycles, e.sim_cycles
-            ));
-        }
-        if regressed {
-            out.regressions
-                .push(format!("{}: cycles/host-second", e.name));
-        }
-    }
-    if matched == 0 {
-        return Err("no basket entry names in common — nothing to compare".to_string());
-    }
-    Ok(out)
+    let a: ExplainReport = serde_json::from_str(&body_a)
+        .map_err(|e| format!("{}: bad explain report: {e}", base.display()))?;
+    let b: ExplainReport = serde_json::from_str(&body_b)
+        .map_err(|e| format!("{}: bad explain report: {e}", fresh.display()))?;
+    diff_explain(base, fresh, &a, &b, tolerance)
 }
 
 fn diff_explain(
@@ -198,30 +119,7 @@ fn diff_explain(
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::perf::{ComponentShares, PerfEntry};
     use std::path::PathBuf;
-
-    fn entry(name: &str, cps: f64, memory_bound: bool) -> PerfEntry {
-        PerfEntry {
-            name: name.into(),
-            bound: "latency".into(),
-            memory_bound,
-            instr_target: 1000,
-            sim_cycles: 5000,
-            wall_seconds: 1.0,
-            cycles_per_host_second: cps,
-            peak_rss_kb: 0,
-            components: ComponentShares::default(),
-        }
-    }
-
-    fn perf_report(entries: Vec<PerfEntry>) -> PerfReport {
-        PerfReport {
-            schema: PERF_SCHEMA.into(),
-            scale: "quick".into(),
-            entries,
-        }
-    }
 
     fn write_tmp(name: &str, body: &str) -> PathBuf {
         let dir = std::env::temp_dir().join("moca_bench_diff_test");
@@ -231,72 +129,8 @@ mod tests {
         p
     }
 
-    fn save(name: &str, r: &PerfReport) -> PathBuf {
-        write_tmp(name, &serde_json::to_string_pretty(r).unwrap())
-    }
-
-    #[test]
-    fn identical_perf_reports_pass() {
-        let r = perf_report(vec![entry("mcf-ddr3", 1e8, true)]);
-        let a = save("ident_a.json", &r);
-        let b = save("ident_b.json", &r);
-        let d = diff_files(&a, &b, 0.10).unwrap();
-        assert!(d.regressions.is_empty(), "{:?}", d.regressions);
-    }
-
-    #[test]
-    fn ten_percent_cps_drop_is_a_regression() {
-        let a = save(
-            "reg_a.json",
-            &perf_report(vec![entry("mcf-ddr3", 1e8, true)]),
-        );
-        let b = save(
-            "reg_b.json",
-            &perf_report(vec![entry("mcf-ddr3", 0.9e8, true)]),
-        );
-        let d = diff_files(&a, &b, 0.10).unwrap();
-        assert_eq!(d.regressions.len(), 1, "{:?}", d.lines);
-        // Non-memory-bound entries never gate.
-        let a2 = save("reg_a2.json", &perf_report(vec![entry("mix", 1e8, false)]));
-        let b2 = save(
-            "reg_b2.json",
-            &perf_report(vec![entry("mix", 0.5e8, false)]),
-        );
-        assert!(diff_files(&a2, &b2, 0.10).unwrap().regressions.is_empty());
-        // A 5% dip stays under a 10% tolerance.
-        let b3 = save(
-            "reg_b3.json",
-            &perf_report(vec![entry("mcf-ddr3", 0.95e8, true)]),
-        );
-        assert!(diff_files(&a, &b3, 0.10).unwrap().regressions.is_empty());
-    }
-
-    #[test]
-    fn empty_baskets_and_bad_inputs_error() {
-        let ok = save("eb_ok.json", &perf_report(vec![entry("m", 1e8, true)]));
-        let empty = save("eb_empty.json", &perf_report(vec![]));
-        assert!(diff_files(&ok, &empty, 0.10).is_err());
-        assert!(diff_files(&empty, &ok, 0.10).is_err());
-
-        let missing = PathBuf::from("/nonexistent/nope.json");
-        assert!(diff_files(&missing, &ok, 0.10).is_err());
-
-        let garbage = write_tmp("eb_garbage.json", "not json {");
-        assert!(diff_files(&garbage, &ok, 0.10).is_err());
-
-        let schemaless = write_tmp("eb_schemaless.json", "{\"entries\": []}");
-        assert!(diff_files(&schemaless, &ok, 0.10).is_err());
-
-        let disjoint = save(
-            "eb_disjoint.json",
-            &perf_report(vec![entry("z", 1e8, true)]),
-        );
-        assert!(diff_files(&ok, &disjoint, 0.10).is_err());
-    }
-
-    #[test]
-    fn explain_runtime_growth_gates_and_buckets_are_reported() {
-        let mk = |cycles: u64, load_miss: u64| ExplainReport {
+    fn explain(cycles: u64, load_miss: u64) -> ExplainReport {
+        ExplainReport {
             schema: EXPLAIN_SCHEMA.into(),
             target: "mcf-ddr3".into(),
             mem_label: "Homogen-DDR3".into(),
@@ -320,16 +154,63 @@ mod tests {
                 objects_omitted: 0,
             }],
             occupancy: vec![],
-        };
-        let save = |name: &str, r: &ExplainReport| {
-            write_tmp(name, &serde_json::to_string_pretty(r).unwrap())
-        };
-        let a = save("ex_a.json", &mk(1000, 400));
-        let same = save("ex_same.json", &mk(1000, 400));
+        }
+    }
+
+    fn save(name: &str, r: &ExplainReport) -> PathBuf {
+        write_tmp(name, &serde_json::to_string_pretty(r).unwrap())
+    }
+
+    #[test]
+    fn missing_malformed_and_empty_reports_error() {
+        let ok = save("eb_ok.json", &explain(1000, 400));
+        let empty = save(
+            "eb_empty.json",
+            &ExplainReport {
+                per_core: vec![],
+                ..explain(1000, 400)
+            },
+        );
+        assert!(diff_files(&ok, &empty, 0.10).is_err());
+        assert!(diff_files(&empty, &ok, 0.10).is_err());
+
+        let missing = PathBuf::from("/nonexistent/nope.json");
+        assert!(diff_files(&missing, &ok, 0.10).is_err());
+        assert!(diff_files(&ok, &missing, 0.10).is_err());
+
+        let garbage = write_tmp("eb_garbage.json", "not json {");
+        assert!(diff_files(&garbage, &ok, 0.10).is_err());
+        assert!(diff_files(&ok, &garbage, 0.10).is_err());
+
+        let schemaless = write_tmp("eb_schemaless.json", "{\"per_core\": []}");
+        assert!(diff_files(&schemaless, &ok, 0.10).is_err());
+
+        // A well-formed report of a schema diff does not understand is an
+        // error on its own and a schema mismatch against an explain report.
+        let unknown = write_tmp(
+            "eb_unknown.json",
+            "{\"schema\": \"moca-unknown/v1\", \"entries\": []}",
+        );
+        assert!(diff_files(&unknown, &unknown, 0.10).is_err());
+        assert!(diff_files(&ok, &unknown, 0.10).is_err());
+        assert!(diff_files(&unknown, &ok, 0.10).is_err());
+
+        // The explain schema tag on a body that is not an explain report.
+        let hollow = write_tmp(
+            "eb_hollow.json",
+            &format!("{{\"schema\": \"{EXPLAIN_SCHEMA}\"}}"),
+        );
+        assert!(diff_files(&ok, &hollow, 0.10).is_err());
+    }
+
+    #[test]
+    fn explain_runtime_growth_gates_and_buckets_are_reported() {
+        let a = save("ex_a.json", &explain(1000, 400));
+        let same = save("ex_same.json", &explain(1000, 400));
         let d = diff_files(&a, &same, 0.10).unwrap();
         assert!(d.regressions.is_empty());
 
-        let slower = save("ex_slower.json", &mk(1100, 500));
+        let slower = save("ex_slower.json", &explain(1100, 500));
         let d = diff_files(&a, &slower, 0.10).unwrap();
         assert_eq!(d.regressions, vec!["runtime_cycles".to_string()]);
         assert!(
@@ -338,20 +219,10 @@ mod tests {
             d.lines
         );
 
-        let none = save(
-            "ex_none.json",
-            &ExplainReport {
-                per_core: vec![],
-                ..mk(1000, 400)
-            },
-        );
-        assert!(diff_files(&a, &none, 0.10).is_err());
-
-        // Perf vs explain is a schema mismatch, not a silent pass.
-        let p = write_tmp(
-            "ex_perf.json",
-            &serde_json::to_string_pretty(&perf_report(vec![entry("m", 1e8, true)])).unwrap(),
-        );
-        assert!(diff_files(&a, &p, 0.10).is_err());
+        // 5% growth stays under a 10% tolerance, but is still reported.
+        let bit_slower = save("ex_bit_slower.json", &explain(1050, 450));
+        let d = diff_files(&a, &bit_slower, 0.10).unwrap();
+        assert!(d.regressions.is_empty(), "{:?}", d.lines);
+        assert!(d.lines.iter().any(|l| l.contains("load_miss")));
     }
 }

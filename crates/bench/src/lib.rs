@@ -5,12 +5,13 @@
 //! (`cargo run --release -p moca-bench --bin repro -- all`) and writes both
 //! aligned-text tables and JSON records (under `results/`).
 
+#![forbid(unsafe_code)]
+
 pub mod diff;
 pub mod experiments;
 pub mod explain;
 pub mod harness;
 pub mod microbench;
-pub mod perf;
 pub mod report;
 
 pub use harness::{Scale, SeededPipeline};

@@ -10,6 +10,8 @@
 //! paths, writebacks, DRAM hand-off) lives in `moca-sim`; this crate provides
 //! the building blocks and keeps them independently testable.
 
+#![forbid(unsafe_code)]
+
 pub mod mshr;
 pub mod set_assoc;
 

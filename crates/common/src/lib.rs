@@ -11,6 +11,8 @@
 //! (`moca-dram`, `moca-cache`, `moca-cpu`, `moca-vm`) can share types without
 //! coupling to each other.
 
+#![forbid(unsafe_code)]
+
 pub mod addr;
 pub mod bitset;
 pub mod det;

@@ -37,6 +37,8 @@
 //! println!("memory EDP: {:.3e} J·s", result.mem.edp());
 //! ```
 
+#![forbid(unsafe_code)]
+
 pub mod classify;
 pub mod naming;
 pub mod persist;

@@ -19,6 +19,8 @@
 //!   measured exactly as in §III-A: cycles the commit stage spends blocked
 //!   on an incomplete LLC-missing load at the ROB head.
 
+#![forbid(unsafe_code)]
+
 pub mod core;
 pub mod instr;
 pub mod stats;

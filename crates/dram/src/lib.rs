@@ -30,6 +30,8 @@
 //! using the Table II coefficients (see [`timing`] for the reconstruction
 //! notes on the power rows).
 
+#![forbid(unsafe_code)]
+
 pub mod channel;
 pub mod mapping;
 pub mod power;

@@ -13,12 +13,13 @@
 //! and EDP, and system-level performance/EDP with a calibrated core-power
 //! model (§V-A: 21 W average for the four-core system).
 
+#![forbid(unsafe_code)]
+
 pub mod config;
 pub mod hierarchy;
 pub mod metrics;
 pub mod migration;
 pub mod os;
-pub mod par_step;
 pub mod system;
 
 pub use config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};

@@ -5,7 +5,6 @@ use crate::hierarchy::CoreHierarchy;
 use crate::metrics::{ChannelReport, CoreResult, MemMetrics, RunResult};
 use crate::migration::{MigrationConfig, Migrator};
 use crate::os::Os;
-use crate::par_step::{resolve_step_threads, SleepSlot, StepPool, TickCtx};
 use moca_common::ids::MemTag;
 use moca_common::wheel::EventWheel;
 use moca_common::{CoreId, Cycle, ObjectClass, VirtAddr};
@@ -103,17 +102,6 @@ pub struct System {
     steps: u64,
     /// Per-core value of `steps` at the core's last pipeline tick.
     steps_at_tick: Vec<u64>,
-    /// Worker threads for phase 3 (1 = sequential). See [`crate::par_step`];
-    /// results are bit-identical for any value.
-    step_threads: usize,
-    /// This cycle's awake-core list (indices with `wake_at <= now`), in
-    /// ascending order — the tick and bookkeeping passes share it.
-    awake: Vec<usize>,
-    /// Per-core tick outcome, written by the tick pass (possibly on worker
-    /// threads) and replayed in core order by the bookkeeping pass.
-    sleeps: Vec<SleepSlot>,
-    /// Per-core `has_deferred` flag captured right after the core's tick.
-    hier_deferred: Vec<bool>,
     /// Per-core flag: still inside its measurement window. Cores that reach
     /// the instruction target keep running (to preserve contention) but
     /// their memory latencies stop counting toward the metrics.
@@ -158,14 +146,14 @@ pub struct System {
     win_bank_act: Vec<Vec<u64>>,
 }
 
-pub(crate) struct Port<'a> {
-    pub(crate) hier: &'a mut CoreHierarchy,
-    pub(crate) channels: &'a mut [Channel],
-    pub(crate) mapper: &'a AddressMapper,
-    pub(crate) os: &'a mut Os,
-    pub(crate) core_idx: usize,
-    pub(crate) tickets: &'a mut u64,
-    pub(crate) tel: &'a mut Telemetry,
+struct Port<'a> {
+    hier: &'a mut CoreHierarchy,
+    channels: &'a mut [Channel],
+    mapper: &'a AddressMapper,
+    os: &'a mut Os,
+    core_idx: usize,
+    tickets: &'a mut u64,
+    tel: &'a mut Telemetry,
 }
 
 impl Port<'_> {
@@ -378,10 +366,6 @@ impl System {
             deferred_words: vec![0; n.div_ceil(64)],
             steps: 0,
             steps_at_tick: vec![0; n],
-            step_threads: resolve_step_threads(None),
-            awake: Vec::with_capacity(n),
-            sleeps: vec![SleepSlot::Runnable; n],
-            hier_deferred: vec![false; n],
             measuring: vec![true; n],
             frozen: vec![false; n],
             woken_buf: Vec::new(),
@@ -562,42 +546,14 @@ impl System {
 
     /// One simulator cycle: DRAM completions, deferred writes, core
     /// pipelines, event skip. Read latencies are accumulated into `mem`.
-    /// Capture the raw-parts view of phase 3's state for one cycle's
-    /// parallel fan-out.
-    fn tick_ctx(&mut self, now: Cycle) -> TickCtx {
-        TickCtx {
-            cores: self.cores.as_mut_ptr(),
-            hiers: self.hiers.as_mut_ptr(),
-            streams: self.streams.as_mut_ptr(),
-            tickets: self.tickets.as_mut_ptr(),
-            steps_at_tick: self.steps_at_tick.as_mut_ptr(),
-            committed: self.committed.as_mut_ptr(),
-            sleeps: self.sleeps.as_mut_ptr(),
-            hier_deferred: self.hier_deferred.as_mut_ptr(),
-            // moca-lint: allow(det-taint): raw-parts capture for the step pool; the pointers index disjoint per-core state and never become sim-visible values
-            awake: self.awake.as_ptr(),
-            awake_len: self.awake.len(),
-            channels: self.channels.as_mut_ptr(),
-            channels_len: self.channels.len(),
-            mapper: &self.mapper,
-            os: &mut self.os,
-            tel: &mut self.tel,
-            now,
-            steps: self.steps,
-        }
-    }
-
-    fn step(&mut self, mem: &mut MemMetrics, comps: &mut Vec<Completion>, pool: Option<&StepPool>) {
+    fn step(&mut self, mem: &mut MemMetrics, comps: &mut Vec<Completion>) {
         self.now += 1;
         self.steps += 1;
         let now = self.now;
         let n = self.cores.len();
-        let profile = self.tel.host_profiling();
 
         // 1. DRAM completions → cache fills → core wakeups.
         comps.clear();
-        // moca-lint: allow(wall-clock): host self-profiling span, never read by the simulation
-        let t0 = profile.then(std::time::Instant::now);
         for (ci, ch) in self.channels.iter_mut().enumerate() {
             // Idle gating: a channel with no queued or in-flight work only
             // needs a tick on the cycle its refresh window opens.
@@ -656,16 +612,11 @@ impl System {
                 m.record_read(comp.line);
             }
         }
-        if let Some(t) = t0 {
-            self.tel.components.dram += t.elapsed();
-        }
 
         // Page-migration epoch boundary. The migrator moves out of `self`
         // for the epoch so it can borrow the rest of the system mutably;
         // it is put back below.
         if let Some(mut m) = self.migrator.take_if(|m| m.epoch_due(now)) {
-            // moca-lint: allow(wall-clock): host self-profiling span, never read by the simulation
-            let t0 = profile.then(std::time::Instant::now);
             m.run_epoch(
                 now,
                 &mut self.os,
@@ -691,17 +642,12 @@ impl System {
                     self.deferred_words[i / 64] |= 1 << (i % 64);
                 }
             }
-            if let Some(t) = t0 {
-                self.tel.components.vm += t.elapsed();
-            }
         }
 
         // 2. Retry deferred writebacks/store-fills — walk only the
         // hierarchies flagged in the deferred mask (bit set ⊇ has_deferred;
         // stale bits clear themselves here), in core-index order like the
         // full loop this replaced.
-        // moca-lint: allow(wall-clock): host self-profiling span, never read by the simulation
-        let t0 = profile.then(std::time::Instant::now);
         for w in 0..self.deferred_words.len() {
             let mut bits = self.deferred_words[w];
             while bits != 0 {
@@ -716,88 +662,54 @@ impl System {
                 }
             }
         }
-        if let Some(t) = t0 {
-            self.tel.components.cache += t.elapsed();
-        }
 
         // 3. Core pipelines — only cores whose wake event has arrived.
         // A sleeping core's tick is a pure no-op until its `wake_at`
         // (its elapsed-cycle stats catch up inside `Core::tick`), and a
-        // fully drained core sits at `Cycle::MAX` forever. The tick pass
-        // runs sequentially or fans out across the step pool (bit-identical
-        // either way — see `par_step`); the bookkeeping pass below replays
-        // each core's recorded outcome in core order.
-        // moca-lint: allow(wall-clock): host self-profiling span, never read by the simulation
-        let t0 = profile.then(std::time::Instant::now);
-        self.awake.clear();
-        for i in 0..n {
-            if self.wake_at[i] <= now {
-                self.awake.push(i);
-            }
-        }
-        match pool {
-            Some(pool) if self.awake.len() > 1 => {
-                let ctx = self.tick_ctx(now);
-                // SAFETY: `ctx` views exactly the state the sequential tick
-                // pass touches; nothing else reads or writes it until
-                // `run_cycle` returns, and this is the pool's main thread.
-                unsafe { pool.run_cycle(ctx) };
-            }
-            _ => {
-                for p in 0..self.awake.len() {
-                    let i = self.awake[p];
-                    let mut port = Port {
-                        hier: &mut self.hiers[i],
-                        channels: &mut self.channels,
-                        mapper: &self.mapper,
-                        os: &mut self.os,
-                        core_idx: i,
-                        tickets: &mut self.tickets[i],
-                        tel: &mut self.tel,
-                    };
-                    let skipped_live = self.steps - self.steps_at_tick[i] - 1;
-                    self.steps_at_tick[i] = self.steps;
-                    self.cores[i].tick_gated(now, skipped_live, &mut port, &mut self.streams[i]);
-                    self.committed[i] = self.cores[i].committed();
-                    self.hier_deferred[i] = self.hiers[i].has_deferred();
-                    self.sleeps[i] = match self.cores[i].sleep_state(now) {
-                        None if self.cores[i].finished() => SleepSlot::Finished,
-                        None => SleepSlot::Runnable,
-                        Some(e) => SleepSlot::Sleep(e),
-                    };
-                }
-            }
-        }
-        // Bookkeeping pass: refresh the dense per-core state the run loops
-        // read, and reschedule each ticked core. Runnable cores are counted
-        // locally for this step's skip decision (not queued — they would
-        // churn the wheel every cycle); sleepers are posted at their wake
-        // event. Ticks never read any of this, so running it after the
-        // whole tick pass is order-equivalent to the fused loop.
+        // fully drained core sits at `Cycle::MAX` forever. After its tick
+        // each core refreshes the dense per-core state the run loops read
+        // and reschedules itself: runnable cores are counted locally for
+        // this step's skip decision (not queued — they would churn the
+        // wheel every cycle); sleepers are posted at their wake event.
         let mut runnable_next = 0usize;
-        for p in 0..self.awake.len() {
-            let i = self.awake[p];
-            let c = self.committed[i];
+        for i in 0..n {
+            if self.wake_at[i] > now {
+                continue;
+            }
+            let mut port = Port {
+                hier: &mut self.hiers[i],
+                channels: &mut self.channels,
+                mapper: &self.mapper,
+                os: &mut self.os,
+                core_idx: i,
+                tickets: &mut self.tickets[i],
+                tel: &mut self.tel,
+            };
+            let skipped_live = self.steps - self.steps_at_tick[i] - 1;
+            self.steps_at_tick[i] = self.steps;
+            self.cores[i].tick_gated(now, skipped_live, &mut port, &mut self.streams[i]);
+            let c = self.cores[i].committed();
+            self.committed[i] = c;
             if !self.crossed[i] && c >= self.commit_target {
                 self.crossed[i] = true;
                 self.below_target -= 1;
                 self.commit_crossed = true;
             }
-            if self.hier_deferred[i] {
+            if self.hiers[i].has_deferred() {
                 self.deferred_words[i / 64] |= 1 << (i % 64);
             }
-            match self.sleeps[i] {
-                SleepSlot::Finished => {
+            match self.cores[i].sleep_state(now) {
+                None if self.cores[i].finished() => {
                     self.wake_at[i] = Cycle::MAX;
                     self.finished_count += 1;
                     self.wheel.cancel(i);
                 }
-                SleepSlot::Runnable => {
+                None => {
                     self.wake_at[i] = now + 1;
                     runnable_next += 1;
                     self.wheel.cancel(i);
                 }
-                SleepSlot::Sleep(e) => {
+                Some(e) => {
                     self.wake_at[i] = e;
                     if e <= now + 1 {
                         runnable_next += 1;
@@ -809,9 +721,6 @@ impl System {
                     }
                 }
             }
-        }
-        if let Some(t) = t0 {
-            self.tel.components.cpu += t.elapsed();
         }
 
         // Apply the attribution resolutions collected in phase 1. This must
@@ -957,42 +866,10 @@ impl System {
         self.run_warmed(0, instr_target)
     }
 
-    /// Set the phase-3 worker-thread count for subsequent runs (1 =
-    /// sequential, the default unless `MOCA_STEP_THREADS` is set). Results
-    /// are bit-identical for every value — parallelism only changes which
-    /// host thread executes a core's tick, never the order of shared-state
-    /// operations.
-    pub fn set_step_threads(&mut self, threads: usize) {
-        self.step_threads = threads.max(1);
-    }
-
     /// Fast-forward for `warmup` committed instructions per core (warming
     /// caches, TLBs, and page tables — the paper's SimPoint fast-forward),
     /// zero all statistics, then measure `instr_target` instructions.
     pub fn run_warmed(&mut self, warmup: u64, instr_target: u64) -> RunResult {
-        let threads = self.step_threads.min(self.cores.len()).max(1);
-        if threads <= 1 {
-            return self.run_warmed_inner(warmup, instr_target, None);
-        }
-        let pool = StepPool::new(threads);
-        // moca-lint: allow(wall-clock): host worker threads; the frontier protocol keeps results bit-identical
-        std::thread::scope(|s| {
-            for w in 1..threads {
-                let pool = &pool;
-                s.spawn(move || pool.worker_loop(w));
-            }
-            let r = self.run_warmed_inner(warmup, instr_target, Some(&pool));
-            pool.shutdown();
-            r
-        })
-    }
-
-    fn run_warmed_inner(
-        &mut self,
-        warmup: u64,
-        instr_target: u64,
-        pool: Option<&StepPool>,
-    ) -> RunResult {
         assert!(instr_target > 0);
         let n = self.cores.len();
         let mut comps: Vec<Completion> = Vec::new();
@@ -1009,7 +886,7 @@ impl System {
             self.measuring.iter_mut().for_each(|m| *m = false);
             self.set_commit_target(warmup);
             while self.below_target > 0 {
-                self.step(&mut mem, &mut comps, pool);
+                self.step(&mut mem, &mut comps);
                 assert!(self.now < watchdog, "warmup watchdog tripped");
             }
             self.measuring.iter_mut().for_each(|m| *m = true);
@@ -1036,7 +913,7 @@ impl System {
         let mut frozen: Vec<Option<FrozenCore>> = vec![None; n];
         let mut remaining = n;
         while remaining > 0 {
-            self.step(&mut mem, &mut comps, pool);
+            self.step(&mut mem, &mut comps);
             assert!(self.now < watchdog, "simulation watchdog tripped");
             // The step loop sets `commit_crossed` when a ticked core first
             // reaches the target; scanning for cores to freeze on any other
@@ -1163,7 +1040,7 @@ mod tests {
         };
         let mut comps = Vec::new();
         for _ in 0..200_000 {
-            sys.step(&mut mem, &mut comps, None);
+            sys.step(&mut mem, &mut comps);
             // Wait for a cycle where the core is purely memory-blocked (no
             // core-local timer: its only wake event is a DRAM completion).
             if !sys.cores[0].finished() && sys.wake_at[0] == Cycle::MAX {
@@ -1179,7 +1056,7 @@ mod tests {
                     sys.chan_posted[c] = ch.state_version();
                 }
                 sys.wheel = EventWheel::new(sys.cores.len() + sys.channels.len());
-                sys.step(&mut mem, &mut comps, None);
+                sys.step(&mut mem, &mut comps);
                 unreachable!("the deadlocked step above must panic");
             }
         }

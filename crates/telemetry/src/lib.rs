@@ -9,11 +9,13 @@
 //!    periodic [`WindowSnapshot`]s (per-window IPC, L2 MPKI, queue depths,
 //!    bus occupancy, frame-pool headroom).
 //! 3. **Export & self-profiling** — a Chrome-trace/Perfetto JSON exporter
-//!    ([`write_chrome_trace`]) and host wall-time spans ([`HostProfiler`],
-//!    [`ComponentTimes`]).
+//!    ([`write_chrome_trace`]) and per-phase host wall-time spans
+//!    ([`HostProfiler`]).
 //!
 //! The simulator threads a [`Telemetry`] value through its hot paths; when
 //! disabled every record call is a branch on one bool and returns.
+
+#![forbid(unsafe_code)]
 
 pub mod attribution;
 mod event;
@@ -28,7 +30,7 @@ pub use attribution::{
     OccupancySample, TagAttr, MECH_COUNT, TIER_COUNT, TIER_UNRESOLVED,
 };
 pub use event::{Event, EventIntent, TimedEvent};
-pub use profiler::{ComponentTimes, HostProfiler, HostSpan};
+pub use profiler::{HostProfiler, HostSpan};
 pub use progress::ProgressReporter;
 pub use registry::{
     CounterId, GaugeId, Histogram, HistogramId, Registry, WindowSnapshot, HISTOGRAM_BUCKETS,
@@ -39,19 +41,15 @@ pub use trace::write_chrome_trace;
 use moca_common::Cycle;
 
 /// The telemetry context a simulation carries: per-kind event counters, the
-/// metric registry, the event sink, and the sampling/profiling switches.
+/// metric registry, the event sink, and the sampling switches.
 pub struct Telemetry {
     enabled: bool,
-    host_profile: bool,
     /// Simulated-cycle length of each metrics window; `None` disables
     /// periodic sampling.
     pub window_cycles: Option<Cycle>,
     sink: Box<dyn Sink>,
     /// The metric registry (counters, gauges, histograms, windows).
     pub registry: Registry,
-    /// Approximate host wall time per simulator component, filled by the
-    /// system loop when host profiling is on.
-    pub components: ComponentTimes,
     event_counters: [CounterId; Event::KIND_COUNT],
     hist_read_latency: HistogramId,
     hist_read_queue: HistogramId,
@@ -61,7 +59,6 @@ impl std::fmt::Debug for Telemetry {
     fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
         f.debug_struct("Telemetry")
             .field("enabled", &self.enabled)
-            .field("host_profile", &self.host_profile)
             .field("window_cycles", &self.window_cycles)
             .finish_non_exhaustive()
     }
@@ -76,11 +73,9 @@ impl Telemetry {
         let hist_read_queue = registry.histogram("dram.read_queue_cycles");
         Telemetry {
             enabled,
-            host_profile: false,
             window_cycles: None,
             sink,
             registry,
-            components: ComponentTimes::default(),
             event_counters,
             hist_read_latency,
             hist_read_queue,
@@ -105,22 +100,10 @@ impl Telemetry {
         self
     }
 
-    /// Enable per-component host wall-time accounting in the system loop.
-    pub fn with_host_profiling(mut self) -> Telemetry {
-        self.host_profile = true;
-        self
-    }
-
     /// Whether events/metrics are being recorded at all.
     #[inline]
     pub fn enabled(&self) -> bool {
         self.enabled
-    }
-
-    /// Whether the system loop should accumulate [`ComponentTimes`].
-    #[inline]
-    pub fn host_profiling(&self) -> bool {
-        self.enabled && self.host_profile
     }
 
     /// Record one event at cycle `at`: bumps the per-kind counter and
@@ -179,7 +162,6 @@ mod tests {
         tel.record(10, Event::MshrFullStall { core: 0 });
         tel.observe_read_latency(5, 50);
         assert!(!tel.enabled());
-        assert!(!tel.host_profiling());
         assert_eq!(tel.events_recorded(), 0);
         assert_eq!(
             tel.registry.counter_value_by_name("events.mshr_full_stall"),
@@ -190,11 +172,8 @@ mod tests {
 
     #[test]
     fn enabled_telemetry_counts_and_buffers() {
-        let mut tel = Telemetry::with_sink(Box::new(RingSink::new(8)))
-            .with_window(1000)
-            .with_host_profiling();
+        let mut tel = Telemetry::with_sink(Box::new(RingSink::new(8))).with_window(1000);
         assert!(tel.enabled());
-        assert!(tel.host_profiling());
         assert_eq!(tel.window_cycles, Some(1000));
         tel.record(1, Event::MshrFullStall { core: 0 });
         tel.record(2, Event::MshrFullStall { core: 1 });

@@ -1,5 +1,5 @@
-//! Host-side self-profiling: wall-time spans per repro phase and per
-//! simulator component, reported alongside the simulated results.
+//! Host-side self-profiling: wall-time spans per repro phase, reported
+//! alongside the simulated results.
 
 use std::time::{Duration, Instant};
 
@@ -93,55 +93,6 @@ impl HostProfiler {
     }
 }
 
-/// Approximate wall time spent inside each simulator component during a
-/// run. Accumulated per `System::step` phase, so per-call timer overhead is
-/// included; treat as relative weight, not absolute cost.
-#[derive(Debug, Clone, Copy, Default)]
-pub struct ComponentTimes {
-    /// DRAM channel ticks.
-    pub dram: Duration,
-    /// Cache-hierarchy deferred-fill flushing.
-    pub cache: Duration,
-    /// Core execute/commit ticks (includes cache lookups issued by cores).
-    pub cpu: Duration,
-    /// Virtual-memory work: migration epochs (faults are charged to cpu).
-    pub vm: Duration,
-}
-
-impl ComponentTimes {
-    /// Sum over components.
-    pub fn total(&self) -> Duration {
-        self.dram + self.cache + self.cpu + self.vm
-    }
-
-    /// Multi-line summary of the per-component split.
-    pub fn render_summary(&self) -> String {
-        let total = self.total();
-        let pct = |d: Duration| {
-            if total.as_nanos() > 0 {
-                100.0 * d.as_secs_f64() / total.as_secs_f64()
-            } else {
-                0.0
-            }
-        };
-        format!(
-            "component wall time (approximate):\n  \
-             cpu   {:>9.3}s ({:>5.1}%)\n  \
-             dram  {:>9.3}s ({:>5.1}%)\n  \
-             cache {:>9.3}s ({:>5.1}%)\n  \
-             vm    {:>9.3}s ({:>5.1}%)\n",
-            self.cpu.as_secs_f64(),
-            pct(self.cpu),
-            self.dram.as_secs_f64(),
-            pct(self.dram),
-            self.cache.as_secs_f64(),
-            pct(self.cache),
-            self.vm.as_secs_f64(),
-            pct(self.vm),
-        )
-    }
-}
-
 #[cfg(test)]
 mod tests {
     use super::*;
@@ -159,19 +110,5 @@ mod tests {
         let s = p.render_summary(Some(1_000_000));
         assert!(s.contains("alpha"));
         assert!(s.contains("simulated cycles / host second"));
-    }
-
-    #[test]
-    fn component_times_sum_and_render() {
-        let t = ComponentTimes {
-            dram: Duration::from_millis(2),
-            cache: Duration::from_millis(1),
-            cpu: Duration::from_millis(5),
-            vm: Duration::from_millis(2),
-        };
-        assert_eq!(t.total(), Duration::from_millis(10));
-        let s = t.render_summary();
-        assert!(s.contains("cpu"));
-        assert!(s.contains("50.0%"));
     }
 }

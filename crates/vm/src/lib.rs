@@ -15,6 +15,8 @@
 //! * address translation goes through a per-core **TLB**; misses pay a page
 //!   walk.
 
+#![forbid(unsafe_code)]
+
 pub mod frames;
 pub mod layout;
 pub mod page_table;

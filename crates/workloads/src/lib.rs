@@ -25,6 +25,8 @@
 //! footprint:capacity ratios that drive the paper's allocation-contention
 //! results.
 
+#![forbid(unsafe_code)]
+
 pub mod gen;
 pub mod sets;
 pub mod spec;

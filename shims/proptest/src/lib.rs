@@ -12,6 +12,8 @@
 //! the harness reproducible run-to-run, which matters more here than
 //! minimal counterexamples.
 
+#![forbid(unsafe_code)]
+
 use std::marker::PhantomData;
 use std::ops::{Range, RangeInclusive};
 

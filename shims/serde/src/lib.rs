@@ -10,6 +10,8 @@
 //! deserialization, no custom `Serializer` plumbing, and no attribute
 //! support; the derive rejects what it cannot handle at compile time.
 
+#![forbid(unsafe_code)]
+
 pub use serde_derive::{Deserialize, Serialize};
 
 use std::collections::{BTreeMap, HashMap};

@@ -11,6 +11,8 @@
 //! `TokenStream`; the generated impls target the `serde` shim's
 //! `to_value`/`from_value` traits.
 
+#![forbid(unsafe_code)]
+
 use proc_macro::{Delimiter, TokenStream, TokenTree};
 
 /// Parsed shape of the deriving type.

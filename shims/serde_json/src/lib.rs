@@ -4,6 +4,8 @@
 //! tree. Covers the API surface this workspace uses: `to_string`,
 //! `to_string_pretty`, `to_value`, `from_str`, `from_value`, and `Error`.
 
+#![forbid(unsafe_code)]
+
 pub use serde::Value;
 
 /// JSON serialization/deserialization error.

@@ -215,3 +215,32 @@ fn moca_needs_no_migration_machinery() {
     let r = p.evaluate(&["disparity"], heter(), PolicyKind::Moca);
     assert!(r.migration.is_none(), "MOCA is allocation-only (§IV-E)");
 }
+
+/// `repro` rejects an argument that is neither a known flag nor a known
+/// target with the usage text and exit 2, instead of treating it as a
+/// target that matches nothing. That covers misspelt targets and flags
+/// the binary does not have (with their values), in `repro explain` too.
+#[test]
+fn repro_rejects_unknown_arguments() {
+    let dir = std::env::temp_dir().join(format!("moca-repro-args-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let out_dir = dir.to_str().expect("temp dir path is UTF-8");
+    for args in [
+        vec!["--out", out_dir, "fgi8"],
+        vec!["--out", out_dir, "--step-threads", "2", "table1"],
+        vec!["explain", "--out", out_dir, "--step-threads", "2"],
+    ] {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .current_dir(&dir)
+            .args(&args)
+            .output()
+            .expect("repro runs");
+        assert_eq!(out.status.code(), Some(2), "repro {args:?} must exit 2");
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(
+            stderr.contains("targets: table1"),
+            "repro {args:?} must print the target list: {stderr}"
+        );
+    }
+    let _ = std::fs::remove_dir_all(&dir);
+}

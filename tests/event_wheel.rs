@@ -1,31 +1,14 @@
-//! Workspace-level gates for the global event wheel and the parallel step
-//! loop built on it.
+//! Workspace-level gate for the global event wheel the step loop's skip
+//! path is built on.
 //!
-//! Two properties are enforced:
-//!
-//! 1. **Wheel ≡ linear scan.** Under a seeded random workload of posts,
-//!    cancels, and time advances, `EventWheel::next_event_after` must agree
-//!    with the exhaustive per-component scan (`scan_min_after`) it replaced
-//!    in `System::step` — same cycle, and a component holding that cycle.
-//!
-//! 2. **Thread-count invariance.** Stepping the machine with the parallel
-//!    phase-3 fan-out (`System::set_step_threads`) must produce
-//!    byte-identical results for 1, 2, and 4 threads on every memory
-//!    system a `SystemConfig` can describe. The digest covers every
-//!    integer field the simulation determines, like the golden-digest
-//!    gate.
+//! **Wheel ≡ linear scan.** Under a seeded random workload of posts,
+//! cancels, and time advances, `EventWheel::next_event_after` must agree
+//! with the exhaustive per-component scan (`scan_min_after`) it replaced in
+//! `System::step` — same cycle, and a component holding that cycle.
+//! Whole-machine determinism is pinned separately by the golden digests.
 
 use moca_common::wheel::EventWheel;
-use moca_common::{Cycle, DetRng, ModuleKind};
-use moca_sim::config::{HeterogeneousLayout, MemSystemConfig, SystemConfig};
-use moca_sim::metrics::RunResult;
-use moca_sim::system::{AppLaunch, System};
-use moca_vm::policy::FirstTouchPolicy;
-use moca_workloads::{app_by_name, InputSet};
-
-// ---------------------------------------------------------------------------
-// 1. Differential property test: wheel vs linear-scan oracle.
-// ---------------------------------------------------------------------------
+use moca_common::{Cycle, DetRng};
 
 /// Seeded random op mix over a wheel and a shadow copy, checking the skip
 /// query against the exhaustive scan after every mutation. Exercises ring
@@ -86,117 +69,4 @@ fn wheel_matches_linear_scan_oracle() {
             (g, w) => panic!("op {op}: wheel says {g:?}, scan says {w:?} at now={now}"),
         }
     }
-}
-
-// ---------------------------------------------------------------------------
-// 2. Parallel stepping is thread-count invariant.
-// ---------------------------------------------------------------------------
-
-/// Shorter than the golden-digest target: this test runs each config three
-/// times (1/2/4 threads) and the frontier protocol serializes on a
-/// single-CPU host, so the budget goes to config coverage instead of run
-/// length.
-const INSTR_TARGET: u64 = 4_000;
-
-/// FNV-1a over every integer field the simulation determines (the same
-/// field set as the golden-digest gate).
-fn digest(r: &RunResult) -> u64 {
-    let mut h: u64 = 0xcbf2_9ce4_8422_2325;
-    let mut word = |v: u64| {
-        for b in v.to_le_bytes() {
-            h ^= b as u64;
-            h = h.wrapping_mul(0x0000_0100_0000_01b3);
-        }
-    };
-    word(r.runtime_cycles);
-    for c in &r.per_core {
-        word(c.stats.committed);
-        word(c.stats.cycles);
-        word(c.stats.head_stall_cycles);
-        word(c.stats.loads);
-        word(c.stats.stores);
-        word(c.stats.mispredicts);
-        word(c.stats.rob_full_cycles);
-        word(c.stats.lq_full_cycles);
-        word(c.finished_at);
-    }
-    word(r.mem.reads);
-    word(r.mem.total_read_latency_cycles);
-    for &l in &r.mem.per_core_read_latency {
-        word(l);
-    }
-    for ch in &r.mem.channels {
-        word(ch.stats.reads);
-        word(ch.stats.writes);
-        word(ch.stats.row_hits);
-        word(ch.stats.activates);
-        word(ch.stats.busy_cycles);
-        word(ch.stats.read_queue_cycles);
-        word(ch.stats.read_service_cycles);
-        word(ch.stats.refreshes);
-    }
-    word(r.placement.total_pages());
-    h
-}
-
-fn run_digest(mem: MemSystemConfig, threads: usize) -> u64 {
-    let cfg = SystemConfig::quad_core(mem);
-    let launches = ["mcf", "lbm", "gcc", "sift"]
-        .iter()
-        .map(|n| AppLaunch::untyped(app_by_name(n), InputSet::reference()))
-        .collect();
-    let mut sys = System::new(cfg, launches, Box::new(FirstTouchPolicy));
-    sys.set_step_threads(threads);
-    digest(&sys.run(INSTR_TARGET))
-}
-
-fn all_mem_systems() -> Vec<(&'static str, MemSystemConfig)> {
-    vec![
-        (
-            "Homogen-DDR3",
-            MemSystemConfig::Homogeneous(ModuleKind::Ddr3),
-        ),
-        (
-            "Homogen-RL",
-            MemSystemConfig::Homogeneous(ModuleKind::Rldram3),
-        ),
-        ("Homogen-HBM", MemSystemConfig::Homogeneous(ModuleKind::Hbm)),
-        (
-            "Homogen-LP",
-            MemSystemConfig::Homogeneous(ModuleKind::Lpddr2),
-        ),
-        (
-            "Heter-config1",
-            MemSystemConfig::Heterogeneous(HeterogeneousLayout::config1()),
-        ),
-        (
-            "Heter-config2",
-            MemSystemConfig::Heterogeneous(HeterogeneousLayout::config2()),
-        ),
-        (
-            "Heter-config3",
-            MemSystemConfig::Heterogeneous(HeterogeneousLayout::config3()),
-        ),
-    ]
-}
-
-#[test]
-fn parallel_stepping_is_thread_count_invariant() {
-    let mut failures = Vec::new();
-    for (name, mem) in all_mem_systems() {
-        let base = run_digest(mem, 1);
-        for threads in [2, 4] {
-            let got = run_digest(mem, threads);
-            if got != base {
-                failures.push(format!(
-                    "{name}: {threads} threads gave {got:#018x}, sequential gave {base:#018x}"
-                ));
-            }
-        }
-    }
-    assert!(
-        failures.is_empty(),
-        "parallel stepping diverged from sequential:\n{}",
-        failures.join("\n")
-    );
 }

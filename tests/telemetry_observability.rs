@@ -37,11 +37,8 @@ fn telemetry_on_and_off_give_bit_identical_results() {
         )
     };
     let (off, _) = fingerprint(Telemetry::disabled());
-    let (on, tel) = fingerprint(
-        Telemetry::with_sink(Box::new(RingSink::new(100_000)))
-            .with_window(10_000)
-            .with_host_profiling(),
-    );
+    let (on, tel) =
+        fingerprint(Telemetry::with_sink(Box::new(RingSink::new(100_000))).with_window(10_000));
     assert_eq!(off, on, "telemetry must not perturb the simulation");
     assert!(tel.events_recorded() > 0, "instrumented run saw no events");
 }
