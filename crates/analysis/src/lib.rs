@@ -518,8 +518,12 @@ fn scan_tokens_per_file(
                     ln,
                     format!(
                         "{tok} iteration order is nondeterministic; use \
-                         moca_common::det::{} instead",
-                        if tok == "HashMap" { "DetMap" } else { "DetSet" }
+                         std::collections::{} instead",
+                        if tok == "HashMap" {
+                            "BTreeMap"
+                        } else {
+                            "BTreeSet"
+                        }
                     ),
                 );
             }

@@ -35,8 +35,8 @@
 //! of the count.
 //!
 //! Results are printed as aligned tables and saved as JSON under `--out`
-//! (default `results/`). Progress lines go to stderr and to
-//! `<out>/repro_progress.log`.
+//! (default `results/`, or `results/quick/` with `--quick`, for `explain`
+//! too). Progress lines go to stderr and to `<out>/repro_progress.log`.
 //!
 //! `--trace FILE` additionally runs one fully instrumented exemplar
 //! evaluation (mcf on Heter config1 under MOCA) and writes a Chrome-trace /
@@ -112,7 +112,7 @@ fn parse_capacity_scale(n: &str) -> f64 {
 /// `repro explain`: one attribution-instrumented run, rendered + JSON.
 fn explain_main(args: &[String]) -> ! {
     let mut spec = moca_bench::explain::ExplainSpec::default();
-    let mut out_dir = PathBuf::from("results");
+    let mut out_dir: Option<PathBuf> = None;
     let mut quiet = false;
     let mut positionals: Vec<&str> = Vec::new();
     let mut it = args.iter();
@@ -126,7 +126,7 @@ fn explain_main(args: &[String]) -> ! {
                     &it.next().cloned().unwrap_or_else(|| usage()),
                 ));
             }
-            "--out" => out_dir = PathBuf::from(it.next().cloned().unwrap_or_else(|| usage())),
+            "--out" => out_dir = Some(PathBuf::from(it.next().cloned().unwrap_or_else(|| usage()))),
             "--top" => {
                 let n = it.next().cloned().unwrap_or_else(|| usage());
                 match n.parse::<usize>() {
@@ -154,6 +154,12 @@ fn explain_main(args: &[String]) -> ! {
         }
         _ => usage(),
     }
+    let scale = if spec.quick {
+        Scale::Quick
+    } else {
+        Scale::Full
+    };
+    let out_dir = out_dir.unwrap_or_else(|| scale.results_dir());
 
     if !quiet {
         eprintln!(
@@ -193,7 +199,7 @@ fn main() {
     }
     let mut scale = Scale::Full;
     let mut capacity_scale = moca_workloads::spec::DEFAULT_FOOTPRINT_SCALE;
-    let mut out_dir = PathBuf::from("results");
+    let mut out_dir: Option<PathBuf> = None;
     let mut trace: Option<PathBuf> = None;
     let mut metrics_window: Option<u64> = None;
     let mut quiet = false;
@@ -207,7 +213,7 @@ fn main() {
             "--capacity-scale" => {
                 capacity_scale = parse_capacity_scale(&args.next().unwrap_or_else(|| usage()));
             }
-            "--out" => out_dir = PathBuf::from(args.next().unwrap_or_else(|| usage())),
+            "--out" => out_dir = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--trace" => trace = Some(PathBuf::from(args.next().unwrap_or_else(|| usage()))),
             "--metrics-window" => {
                 let n = args.next().unwrap_or_else(|| usage());
@@ -237,6 +243,7 @@ fn main() {
     if targets.remove("all") {
         targets.extend(TARGETS.iter().map(|t| t.to_string()));
     }
+    let out_dir = out_dir.unwrap_or_else(|| scale.results_dir());
 
     let mut progress = ProgressReporter::new(Some(&out_dir.join("repro_progress.log")));
     progress.set_quiet(quiet);

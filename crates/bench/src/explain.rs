@@ -14,6 +14,7 @@
 use moca::classify::ClassifiedApp;
 use moca::naming::NameRegistry;
 use moca::pipeline::{Pipeline, PolicyKind};
+use moca::policy::preferred_kind;
 use moca_common::{ModuleKind, ObjectClass};
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig};
 use moca_sim::metrics::RunResult;
@@ -78,16 +79,6 @@ pub fn config_by_label(label: &str) -> Option<(MemSystemConfig, PolicyKind)> {
             PolicyKind::Moca,
         )),
         _ => None,
-    }
-}
-
-/// The module MOCA would place a class on (§IV-E: L → RLDRAM, B → HBM,
-/// N → LPDDR2).
-pub fn expected_module(class: ObjectClass) -> ModuleKind {
-    match class {
-        ObjectClass::LatencySensitive => ModuleKind::Rldram3,
-        ObjectClass::BandwidthSensitive => ModuleKind::Hbm,
-        ObjectClass::NonIntensive => ModuleKind::Lpddr2,
     }
 }
 
@@ -294,7 +285,7 @@ fn core_explain(
                 .get(id as usize)
                 .copied()
                 .unwrap_or(ObjectClass::NonIntensive);
-            let expected = expected_module(class);
+            let expected = preferred_kind(class);
             let dom = t.dominant_tier();
             let verdict = if t.total_stall() == 0 {
                 "no-stall"
@@ -476,22 +467,6 @@ mod tests {
             assert_eq!(config_by_label(l).unwrap().1, PolicyKind::Moca);
         }
         assert_eq!(config_by_label("ddr3").unwrap().1, PolicyKind::Homogeneous);
-    }
-
-    #[test]
-    fn expected_module_is_the_papers_mapping() {
-        assert_eq!(
-            expected_module(ObjectClass::LatencySensitive),
-            ModuleKind::Rldram3
-        );
-        assert_eq!(
-            expected_module(ObjectClass::BandwidthSensitive),
-            ModuleKind::Hbm
-        );
-        assert_eq!(
-            expected_module(ObjectClass::NonIntensive),
-            ModuleKind::Lpddr2
-        );
     }
 
     #[test]

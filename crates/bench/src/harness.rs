@@ -8,6 +8,7 @@ use moca_common::ModuleKind;
 use moca_sim::config::{HeterogeneousLayout, MemSystemConfig};
 use moca_sim::metrics::RunResult;
 use moca_workloads::{app_by_name, suite, InputSet};
+use std::path::PathBuf;
 
 /// Experiment run-length scale.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -24,6 +25,16 @@ impl Scale {
         match self {
             Scale::Quick => Pipeline::quick(),
             Scale::Full => Pipeline::new(),
+        }
+    }
+
+    /// Default output directory of `repro` at this scale. Quick output goes
+    /// to `results/quick/`, so only Full runs land in the committed
+    /// `results/`.
+    pub fn results_dir(self) -> PathBuf {
+        match self {
+            Scale::Quick => PathBuf::from("results/quick"),
+            Scale::Full => PathBuf::from("results"),
         }
     }
 }
@@ -132,6 +143,12 @@ mod tests {
         assert_eq!(s[0].0, "Homogen-DDR3");
         assert_eq!(s[5].0, "MOCA");
         assert!(matches!(s[5].2, PolicyKind::Moca));
+    }
+
+    #[test]
+    fn quick_output_stays_out_of_committed_results() {
+        assert_eq!(Scale::Full.results_dir(), PathBuf::from("results"));
+        assert_eq!(Scale::Quick.results_dir(), PathBuf::from("results/quick"));
     }
 
     #[test]

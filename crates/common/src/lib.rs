@@ -15,7 +15,6 @@
 
 pub mod addr;
 pub mod bitset;
-pub mod det;
 pub mod ids;
 pub mod par;
 pub mod rng;
@@ -25,7 +24,6 @@ pub mod wheel;
 
 pub use addr::{LineAddr, PhysAddr, VirtAddr, CACHE_LINE_SIZE, PAGE_SIZE};
 pub use bitset::TwoLevelBitmap;
-pub use det::{DetMap, DetSet};
 pub use ids::{AppId, CoreId, ObjectClass, ObjectId, Segment};
 pub use rng::DetRng;
 pub use stats::{Counter, RunningStat};

@@ -6,13 +6,14 @@
 use crate::classify::{classify_lut, AppThresholds, ClassifiedApp, Thresholds};
 use crate::policy::{HeterAppPolicy, HomogeneousPolicy, LowPowerFirstPolicy, MocaPolicy};
 use crate::profile::{profile_app, ProfileConfig, ProfileLut};
-use moca_common::{DetMap, ObjectClass};
+use moca_common::ObjectClass;
 use moca_sim::config::{MemSystemConfig, SystemConfig};
 use moca_sim::metrics::RunResult;
 use moca_sim::system::{AppLaunch, System};
 use moca_telemetry::{Event, Telemetry};
 use moca_vm::PagePlacementPolicy;
 use moca_workloads::{app_by_name, InputSet};
+use std::collections::BTreeMap;
 
 /// Which placement policy to evaluate.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -70,7 +71,7 @@ pub struct Pipeline {
     pub eval_warmup: u64,
     /// Evaluation measured instructions per core.
     pub eval_instrs: u64,
-    cache: DetMap<String, (ProfileLut, ClassifiedApp)>,
+    cache: BTreeMap<String, (ProfileLut, ClassifiedApp)>,
 }
 
 impl Pipeline {
@@ -82,7 +83,7 @@ impl Pipeline {
             profile_cfg: ProfileConfig::default(),
             eval_warmup: 500_000,
             eval_instrs: 1_000_000,
-            cache: DetMap::new(),
+            cache: BTreeMap::new(),
         }
     }
 

@@ -203,8 +203,8 @@ pub struct Channel {
     bank_activates: Vec<u64>,
     /// Monotonic counter bumped on every state change (enqueue, executed
     /// tick, copy-DMA injection). The system compares it against the version
-    /// it last posted into the global event wheel, so an untouched channel's
-    /// wheel entry is refreshed with a single integer compare instead of a
+    /// it last posted into the global next-event table, so an untouched
+    /// channel's entry is refreshed with a single integer compare instead of a
     /// `next_event_after` recomputation.
     state_version: u64,
 }

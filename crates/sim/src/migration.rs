@@ -18,10 +18,10 @@
 use crate::hierarchy::CoreHierarchy;
 use crate::os::Os;
 use moca_common::addr::{LineAddr, PAGE_SIZE};
-use moca_common::DetMap;
 use moca_common::{Cycle, ModuleKind};
 use moca_dram::{AddressMapper, Channel};
 use serde::{Deserialize, Serialize};
+use std::collections::BTreeMap;
 
 /// Lines per page (64 with 4 KiB pages and 64 B lines).
 const LINES_PER_PAGE: u64 = PAGE_SIZE / moca_common::addr::CACHE_LINE_SIZE;
@@ -69,10 +69,10 @@ pub struct Migrator {
     /// DRAM reads per pfn in the current epoch. Ordered so that candidate
     /// collection (and thus victim selection) is independent of the order in
     /// which pages were first touched.
-    heat: DetMap<u64, u32>,
+    heat: BTreeMap<u64, u32>,
     /// Exponentially decayed heat of pages currently resident in the fast
     /// modules (so cold residents can be identified for demotion).
-    resident_heat: DetMap<u64, u32>,
+    resident_heat: BTreeMap<u64, u32>,
     next_epoch: Cycle,
     stats: MigrationStats,
 }
@@ -83,8 +83,8 @@ impl Migrator {
         Migrator {
             next_epoch: cfg.epoch_cycles,
             cfg,
-            heat: DetMap::new(),
-            resident_heat: DetMap::new(),
+            heat: BTreeMap::new(),
+            resident_heat: BTreeMap::new(),
             stats: MigrationStats::default(),
         }
     }
@@ -137,7 +137,7 @@ impl Migrator {
         }
         self.heat.clear();
         // Explicit tie-break: heat descending, then pfn ascending. The heat
-        // table already iterates in pfn order (DetMap), so this sort — and
+        // table already iterates in pfn order (`BTreeMap`), so this sort — and
         // everything downstream of it — is identical run to run.
         candidates.sort_unstable_by(|a, b| b.1.cmp(&a.1).then(a.0.cmp(&b.0)));
         candidates.truncate(self.cfg.max_moves_per_epoch);

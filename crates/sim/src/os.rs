@@ -40,7 +40,7 @@ pub struct Os {
     tlbs: Vec<Tlb>,
     placement: PlacementReport,
     /// Reverse map frame → (app, vpn), maintained for page migration.
-    owners: moca_common::DetMap<u64, (usize, u64)>,
+    owners: std::collections::BTreeMap<u64, (usize, u64)>,
     tlb_miss_penalty: Cycle,
     page_fault_penalty: Cycle,
 }
@@ -62,7 +62,7 @@ impl Os {
             policy,
             page_tables: (0..apps).map(|_| PageTable::new()).collect(),
             tlbs: (0..apps).map(|_| Tlb::new(tlb_entries)).collect(),
-            owners: moca_common::DetMap::new(),
+            owners: std::collections::BTreeMap::new(),
             tlb_miss_penalty,
             page_fault_penalty,
         }

@@ -63,9 +63,6 @@ pub struct System {
     /// whose `wake_at` has arrived; everything that can unblock a core
     /// (DRAM completions, its own tick) updates this array.
     wake_at: Vec<Cycle>,
-    /// Per-core committed-instruction mirror, refreshed after each tick
-    /// (dense array so the run loops never walk the cores).
-    committed: Vec<u64>,
     /// Per-core flag: committed ≥ `commit_target` (monotonic per phase).
     crossed: Vec<bool>,
     /// Number of cores with `crossed == false`; the warmup loop runs while
@@ -81,20 +78,15 @@ pub struct System {
     /// empty). Event skip is disabled once any core is finished, matching
     /// the drain-phase semantics of the linear scan this replaced.
     finished_count: usize,
-    /// Global event wheel over `cores.len() + channels.len()` components:
+    /// Next-event table over `cores.len() + channels.len()` components:
     /// component `i < cores` is core `i`'s wake event, component
-    /// `cores + c` is channel `c`'s next-event estimate. Replaces the
-    /// per-step linear scans over all cores and channels on the
-    /// all-blocked path.
+    /// `cores + c` is channel `c`'s next-event estimate. The skip path
+    /// takes its minimum instead of asking every core and channel.
     wheel: EventWheel,
     /// Per-channel `state_version` at the time of the channel's last wheel
     /// post; the skip path only re-queries `next_event_after` for channels
     /// whose version moved.
     chan_posted: Vec<u64>,
-    /// Bitmask (one bit per core) of hierarchies that may hold deferred
-    /// writebacks/store-fills; phase 2 walks set bits instead of asking
-    /// every hierarchy every cycle.
-    deferred_words: Vec<u64>,
     /// Number of `step` calls so far — the cycles the machine actually
     /// executed (event-skipped windows take no steps). With `steps_at_tick`
     /// this tells a waking core how many stepped cycles it slept through,
@@ -355,7 +347,6 @@ impl System {
             tickets: vec![0; n],
             now: 0,
             wake_at: vec![0; n],
-            committed: vec![0; n],
             crossed: vec![false; n],
             below_target: n,
             commit_target: 0,
@@ -363,7 +354,6 @@ impl System {
             finished_count: 0,
             wheel: EventWheel::new(n + channel_count),
             chan_posted: vec![u64::MAX; channel_count],
-            deferred_words: vec![0; n.div_ceil(64)],
             steps: 0,
             steps_at_tick: vec![0; n],
             measuring: vec![true; n],
@@ -583,11 +573,6 @@ impl System {
             for &t in &self.woken_buf {
                 self.cores[ci].complete(t, now);
             }
-            // The fill may have evicted a dirty line the channel refused:
-            // flag the hierarchy for the deferred-retry pass either way.
-            if self.hiers[ci].has_deferred() {
-                self.deferred_words[ci / 64] |= 1 << (ci % 64);
-            }
             if !self.woken_buf.is_empty() && !self.cores[ci].finished() && self.wake_at[ci] > now {
                 // A completed ticket can unblock the pipeline this very
                 // cycle; pull the core out of its sleep.
@@ -634,32 +619,12 @@ impl System {
                 },
             );
             self.migrator = Some(m);
-            // The epoch invalidates lines across every hierarchy, which can
-            // queue writebacks anywhere: rebuild the deferred mask from
-            // scratch (epoch-rate, not cycle-rate).
-            for (i, h) in self.hiers.iter().enumerate() {
-                if h.has_deferred() {
-                    self.deferred_words[i / 64] |= 1 << (i % 64);
-                }
-            }
         }
 
-        // 2. Retry deferred writebacks/store-fills — walk only the
-        // hierarchies flagged in the deferred mask (bit set ⊇ has_deferred;
-        // stale bits clear themselves here), in core-index order like the
-        // full loop this replaced.
-        for w in 0..self.deferred_words.len() {
-            let mut bits = self.deferred_words[w];
-            while bits != 0 {
-                let b = bits.trailing_zeros() as usize;
-                bits &= bits - 1;
-                let i = w * 64 + b;
-                if self.hiers[i].has_deferred() {
-                    self.hiers[i].flush_deferred(now, &mut self.channels, &self.mapper);
-                }
-                if !self.hiers[i].has_deferred() {
-                    self.deferred_words[w] &= !(1u64 << b);
-                }
+        // 2. Retry deferred writebacks/store-fills, in core-index order.
+        for i in 0..n {
+            if self.hiers[i].has_deferred() {
+                self.hiers[i].flush_deferred(now, &mut self.channels, &self.mapper);
             }
         }
 
@@ -669,8 +634,8 @@ impl System {
         // fully drained core sits at `Cycle::MAX` forever. After its tick
         // each core refreshes the dense per-core state the run loops read
         // and reschedules itself: runnable cores are counted locally for
-        // this step's skip decision (not queued — they would churn the
-        // wheel every cycle); sleepers are posted at their wake event.
+        // this step's skip decision; sleepers are posted at their wake
+        // event.
         let mut runnable_next = 0usize;
         for i in 0..n {
             if self.wake_at[i] > now {
@@ -689,14 +654,10 @@ impl System {
             self.steps_at_tick[i] = self.steps;
             self.cores[i].tick_gated(now, skipped_live, &mut port, &mut self.streams[i]);
             let c = self.cores[i].committed();
-            self.committed[i] = c;
             if !self.crossed[i] && c >= self.commit_target {
                 self.crossed[i] = true;
                 self.below_target -= 1;
                 self.commit_crossed = true;
-            }
-            if self.hiers[i].has_deferred() {
-                self.deferred_words[i / 64] |= 1 << (i % 64);
             }
             match self.cores[i].sleep_state(now) {
                 None if self.cores[i].finished() => {
@@ -738,10 +699,10 @@ impl System {
         }
 
         // 4. Event skip: if every core is stalled on memory, jump to the
-        // next completion/command boundary. The wheel already holds every
+        // next completion/command boundary. The table already holds every
         // sleeping core's wake event; only channels whose state moved since
-        // their last post get re-queried, then one wheel pop yields the
-        // global minimum — no per-core or per-channel scan on this path.
+        // their last post get re-queried, then one table query yields the
+        // global minimum.
         // Skipping stays disabled while any core is drained, preserving the
         // cycle-by-cycle drain semantics of the linear scan this replaced.
         if self.finished_count == 0 && runnable_next == 0 {
@@ -769,8 +730,9 @@ impl System {
         }
     }
 
-    /// Differential check (debug builds only): the wheel's skip decision
-    /// must match the per-core/per-channel linear scan it replaced.
+    /// Differential check (debug builds only): the table's skip decision
+    /// must match a fresh scan of every core and channel, which catches a
+    /// stale `wake_at` post or `chan_posted` version.
     #[cfg(debug_assertions)]
     fn check_skip_against_scan(&self, now: Cycle, wheel_next: Option<(Cycle, usize)>) {
         let mut next = Cycle::MAX;
@@ -778,7 +740,7 @@ impl System {
             match c.sleep_state(now) {
                 // moca-lint: allow(panic-in-hot): debug-only differential oracle; divergence must abort
                 None => panic!(
-                    "event wheel diverged at cycle {now}: core {i} is runnable \
+                    "event table diverged at cycle {now}: core {i} is runnable \
                      but the step loop counted no runnable cores"
                 ),
                 Some(e) => next = next.min(e),
@@ -792,8 +754,8 @@ impl System {
         let got = wheel_next.map_or(Cycle::MAX, |(c, _)| c);
         assert!(
             got == next,
-            "event wheel diverged from the linear scan at cycle {now}: \
-             wheel says next event at {got}, scan says {next}"
+            "event table diverged from the linear scan at cycle {now}: \
+             table says next event at {got}, scan says {next}"
         );
     }
 
@@ -843,9 +805,7 @@ impl System {
         self.below_target = 0;
         self.commit_crossed = false;
         for (i, core) in self.cores.iter().enumerate() {
-            let c = core.committed();
-            self.committed[i] = c;
-            self.crossed[i] = c >= target;
+            self.crossed[i] = core.committed() >= target;
             if !self.crossed[i] {
                 self.below_target += 1;
             }
@@ -1046,7 +1006,7 @@ mod tests {
             if !sys.cores[0].finished() && sys.wake_at[0] == Cycle::MAX {
                 // Lose the completions: swap in fresh, empty channels, keep
                 // `chan_posted` matching their versions so the skip path
-                // does not re-post them, and empty the wheel of any stale
+                // does not re-post them, and empty the table of any stale
                 // channel events. The core now waits on a read that will
                 // never return — a modelling bug this assert must catch.
                 for ch in &mut sys.channels {

@@ -5,7 +5,7 @@
 //!
 //! 1. **Events** — cycle-stamped structured records ([`Event`]) routed
 //!    through a pluggable [`Sink`] (no-op, bounded ring, or streaming JSONL).
-//! 2. **Metrics** — a hierarchical counter/gauge/histogram [`Registry`] plus
+//! 2. **Metrics** — a hierarchical counter/histogram [`Registry`] plus
 //!    periodic [`WindowSnapshot`]s (per-window IPC, L2 MPKI, queue depths,
 //!    bus occupancy, frame-pool headroom).
 //! 3. **Export & self-profiling** — a Chrome-trace/Perfetto JSON exporter
@@ -33,7 +33,7 @@ pub use event::{Event, EventIntent, TimedEvent};
 pub use profiler::{HostProfiler, HostSpan};
 pub use progress::ProgressReporter;
 pub use registry::{
-    CounterId, GaugeId, Histogram, HistogramId, Registry, WindowSnapshot, HISTOGRAM_BUCKETS,
+    CounterId, Histogram, HistogramId, Registry, WindowSnapshot, HISTOGRAM_BUCKETS,
 };
 pub use sink::{JsonlSink, NullSink, RingSink, Sink};
 pub use trace::write_chrome_trace;
@@ -48,7 +48,7 @@ pub struct Telemetry {
     /// periodic sampling.
     pub window_cycles: Option<Cycle>,
     sink: Box<dyn Sink>,
-    /// The metric registry (counters, gauges, histograms, windows).
+    /// The metric registry (counters, histograms, windows).
     pub registry: Registry,
     event_counters: [CounterId; Event::KIND_COUNT],
     hist_read_latency: HistogramId,

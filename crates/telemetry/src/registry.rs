@@ -1,4 +1,4 @@
-//! Hierarchical metric registry: counters, gauges, log2 histograms, and
+//! Hierarchical metric registry: counters, log2 histograms, and
 //! periodic windowed snapshots.
 //!
 //! Names are dot-separated paths (`events.page_fault`, `dram.read_latency`,
@@ -11,10 +11,6 @@ use serde::Serialize;
 /// Handle to a registered counter.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct CounterId(pub(crate) usize);
-
-/// Handle to a registered gauge.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
-pub struct GaugeId(pub(crate) usize);
 
 /// Handle to a registered histogram.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -150,12 +146,11 @@ pub struct WindowSnapshot {
     pub samples: Vec<(String, f64)>,
 }
 
-/// Registry of named counters, gauges, and histograms plus the sequence of
+/// Registry of named counters and histograms plus the sequence of
 /// periodic window snapshots.
 #[derive(Debug, Default)]
 pub struct Registry {
     counters: Vec<(String, u64)>,
-    gauges: Vec<(String, f64)>,
     histograms: Vec<(String, Histogram)>,
     windows: Vec<WindowSnapshot>,
 }
@@ -173,15 +168,6 @@ impl Registry {
         }
         self.counters.push((name.to_string(), 0));
         CounterId(self.counters.len() - 1)
-    }
-
-    /// Register (or find) a gauge by name.
-    pub fn gauge(&mut self, name: &str) -> GaugeId {
-        if let Some(i) = self.gauges.iter().position(|(n, _)| n == name) {
-            return GaugeId(i);
-        }
-        self.gauges.push((name.to_string(), 0.0));
-        GaugeId(self.gauges.len() - 1)
     }
 
     /// Register (or find) a histogram by name.
@@ -205,12 +191,6 @@ impl Registry {
         self.counters[id.0].1 += delta;
     }
 
-    /// Set a gauge to `value`.
-    #[inline]
-    pub fn set(&mut self, id: GaugeId, value: f64) {
-        self.gauges[id.0].1 = value;
-    }
-
     /// Record one histogram sample.
     #[inline]
     pub fn observe(&mut self, id: HistogramId, value: u64) {
@@ -228,11 +208,6 @@ impl Registry {
             .iter()
             .find(|(n, _)| n == name)
             .map(|(_, v)| *v)
-    }
-
-    /// Current value of a gauge.
-    pub fn gauge_value(&self, id: GaugeId) -> f64 {
-        self.gauges[id.0].1
     }
 
     /// Histogram looked up by name.
@@ -346,10 +321,6 @@ mod tests {
         assert_eq!(r.counter_value(a), 5);
         assert_eq!(r.counter_value_by_name("events.page_fault"), Some(5));
         assert_eq!(r.counter_value_by_name("missing"), None);
-
-        let g = r.gauge("frame_pool.headroom");
-        r.set(g, 0.75);
-        assert!((r.gauge_value(g) - 0.75).abs() < 1e-12);
 
         let h = r.histogram("dram.read_latency");
         r.observe(h, 42);

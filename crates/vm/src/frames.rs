@@ -33,9 +33,11 @@
 //! than [`FREE_CACHE`] frames of one region are simultaneously free, the
 //! overflow is tracked only by the bitmap and comes back lowest-pfn-first
 //! once the cache drains — the one (documented) divergence from the old
-//! unbounded-LIFO behaviour, unreachable on all committed configurations
-//! (golden runs never free; migration runs free slow-module frames that are
-//! never reallocated).
+//! unbounded-LIFO behaviour. No committed run reaches it. Golden runs never
+//! free a frame, so the cache does not affect the golden digests. A Full
+//! `repro migration` frees 272 frames and reallocates 6 of them, all through
+//! the cache and none through the bitmap spill, so the cache does decide
+//! `results/migration.json`.
 //!
 //! # Checked preconditions
 //!
@@ -156,9 +158,9 @@ pub struct FrameSpace {
 pub const STRIPE_CHUNK: u64 = 16;
 
 /// Per-region capacity of the LIFO reuse cache. Large enough that every
-/// committed scenario (migration frees at most [`FREE_CACHE`] frames per
-/// epoch before reallocation) sees exact unbounded-LIFO behaviour; small
-/// enough that allocator memory stays bitmap-bounded.
+/// committed run sees exact unbounded-LIFO behaviour (the migration study
+/// reallocates freed frames, but never from a spill), small enough that
+/// allocator memory stays bitmap-bounded.
 pub const FREE_CACHE: usize = 64;
 
 fn kind_index(kind: ModuleKind) -> usize {

@@ -26,7 +26,7 @@ const UNMAPPED: u64 = u64::MAX;
 /// ordered map: chunk `vpn / 512` is a lazily allocated array indexed by
 /// `vpn % 512`. Lookups are two dereferences with no comparisons, and
 /// [`PageTable::iter`] walks chunks in index order so observable iteration
-/// remains ascending-by-vpn exactly as with the previous `DetMap`.
+/// remains ascending-by-vpn exactly as with the previous ordered map.
 #[derive(Debug, Clone, Default)]
 pub struct PageTable {
     chunks: Vec<Option<Box<[u64; CHUNK]>>>,

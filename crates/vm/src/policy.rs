@@ -88,7 +88,7 @@ mod tests {
     fn preference_orders_cover_all_kinds() {
         for class in ObjectClass::ALL {
             let order = preference_order(class);
-            let set: moca_common::DetSet<_> = order.iter().collect();
+            let set: std::collections::BTreeSet<_> = order.iter().collect();
             assert_eq!(set.len(), 4, "{class} order has duplicates");
         }
     }

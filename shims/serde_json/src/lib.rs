@@ -153,20 +153,17 @@ fn write_string(s: &str, out: &mut String) {
 // ---------------------------------------------------------------------------
 
 struct Parser<'a> {
-    bytes: &'a [u8],
+    text: &'a str,
     pos: usize,
 }
 
 /// Parse JSON text into a [`Value`] tree.
 pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser {
-        bytes: s.as_bytes(),
-        pos: 0,
-    };
+    let mut p = Parser { text: s, pos: 0 };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
-    if p.pos != p.bytes.len() {
+    if p.pos != p.text.len() {
         return Err(Error::new(format!("trailing characters at byte {}", p.pos)));
     }
     Ok(v)
@@ -178,7 +175,7 @@ impl<'a> Parser<'a> {
     }
 
     fn peek(&self) -> Option<u8> {
-        self.bytes.get(self.pos).copied()
+        self.text.as_bytes().get(self.pos).copied()
     }
 
     fn skip_ws(&mut self) {
@@ -197,7 +194,7 @@ impl<'a> Parser<'a> {
     }
 
     fn literal(&mut self, word: &str, v: Value) -> Result<Value, Error> {
-        if self.bytes[self.pos..].starts_with(word.as_bytes()) {
+        if self.text.as_bytes()[self.pos..].starts_with(word.as_bytes()) {
             self.pos += word.len();
             Ok(v)
         } else {
@@ -299,12 +296,14 @@ impl<'a> Parser<'a> {
                     self.pos += 1;
                 }
                 Some(_) => {
-                    // Consume one UTF-8 character (input is a valid &str).
-                    let rest = &self.bytes[self.pos..];
-                    let s = std::str::from_utf8(rest).map_err(|_| self.err("invalid utf-8"))?;
-                    let c = s.chars().next().unwrap();
-                    out.push(c);
-                    self.pos += c.len_utf8();
+                    // Copy the run of unescaped bytes up to the next `"` or
+                    // `\` in one slice. Both are ASCII, so the run ends on a
+                    // char boundary of the `&str` input.
+                    let start = self.pos;
+                    while !matches!(self.peek(), None | Some(b'"' | b'\\')) {
+                        self.pos += 1;
+                    }
+                    out.push_str(&self.text[start..self.pos]);
                 }
             }
         }
@@ -375,8 +374,7 @@ impl<'a> Parser<'a> {
                 self.pos += 1;
             }
         }
-        let text = std::str::from_utf8(&self.bytes[start..self.pos])
-            .map_err(|_| self.err("invalid number"))?;
+        let text = &self.text[start..self.pos];
         if !is_float {
             if negative {
                 if let Ok(i) = text.parse::<i64>() {
@@ -429,6 +427,61 @@ mod tests {
         assert!(parse("[1,]").is_err());
         assert!(parse("tru").is_err());
         assert!(parse("1 2").is_err());
+    }
+
+    /// A JSON document of at least `bytes` bytes: an array of objects whose
+    /// strings mix long unescaped runs, escapes and non-ASCII text.
+    fn document(bytes: usize) -> String {
+        let mut doc = String::from("[");
+        let mut i = 0u64;
+        loop {
+            doc.push_str(&format!(
+                r#"{{"name":"bank_act.ch{i}.b3 ünïcödé 😀","note":"line\n\"quoted\" \u00e9 tail","v":{i}}}"#
+            ));
+            i += 1;
+            if doc.len() >= bytes {
+                break;
+            }
+            doc.push(',');
+        }
+        doc.push(']');
+        doc
+    }
+
+    /// Wall time of one parse of `doc`, in seconds.
+    fn parse_secs(doc: &str) -> f64 {
+        let t = std::time::Instant::now();
+        parse(doc).unwrap();
+        t.elapsed().as_secs_f64()
+    }
+
+    /// Parsing is linear in the input: 4x the bytes takes about 4x the time.
+    /// A parser that rescans the rest of the document per character takes
+    /// about 16x. The bound is a ratio of best-of-5 times, with the two sizes
+    /// timed alternately so host load hits both, so it holds on any host.
+    #[test]
+    fn parse_time_is_linear_in_document_size() {
+        let first = Value::Object(vec![
+            (
+                "name".into(),
+                Value::Str("bank_act.ch0.b3 ünïcödé 😀".into()),
+            ),
+            ("note".into(), Value::Str("line\n\"quoted\" é tail".into())),
+            ("v".into(), Value::U64(0)),
+        ]);
+        assert_eq!(parse(&document(1)).unwrap(), Value::Array(vec![first]));
+        let small = document(1 << 20);
+        let large = document(4 << 20);
+        let (mut small_secs, mut large_secs) = (f64::INFINITY, f64::INFINITY);
+        for _ in 0..5 {
+            small_secs = small_secs.min(parse_secs(&small));
+            large_secs = large_secs.min(parse_secs(&large));
+        }
+        let ratio = large_secs / small_secs;
+        assert!(
+            ratio < 8.0,
+            "4 MB / 1 MB parse-time ratio {ratio:.1} is not linear"
+        );
     }
 
     #[test]

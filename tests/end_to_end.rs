@@ -244,3 +244,25 @@ fn repro_rejects_unknown_arguments() {
     }
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// Without `--out`, `repro --quick` writes under `results/quick/` and leaves
+/// the committed `results/` to Full runs.
+#[test]
+fn repro_quick_output_defaults_to_results_quick() {
+    let dir = std::env::temp_dir().join(format!("moca-repro-quick-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let repro = |args: &[&str]| {
+        let out = std::process::Command::new(env!("CARGO_BIN_EXE_repro"))
+            .current_dir(&dir)
+            .args(args)
+            .output()
+            .expect("repro runs");
+        assert!(out.status.success(), "repro {args:?} failed");
+    };
+    repro(&["--quick", "--quiet", "table1"]);
+    assert!(dir.join("results/quick/table1.json").is_file());
+    assert!(!dir.join("results/table1.json").exists());
+    repro(&["--quiet", "table1"]);
+    assert!(dir.join("results/table1.json").is_file());
+    let _ = std::fs::remove_dir_all(&dir);
+}
