@@ -182,6 +182,10 @@ mod tests {
         assert!(diff_files(&garbage, &ok, 0.10).is_err());
         assert!(diff_files(&ok, &garbage, 0.10).is_err());
 
+        let deep = write_tmp("eb_deep.json", &"[".repeat(100_000));
+        let e = diff_files(&ok, &deep, 0.10).unwrap_err();
+        assert!(e.contains("nesting deeper than 128"), "{e}");
+
         let schemaless = write_tmp("eb_schemaless.json", "{\"per_core\": []}");
         assert!(diff_files(&schemaless, &ok, 0.10).is_err());
 

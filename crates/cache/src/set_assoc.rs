@@ -107,9 +107,10 @@ pub struct SetAssocCache {
     sets: Vec<Way>,
     set_count: u64,
     /// `set_count - 1`; the set count is asserted to be a power of two, so
-    /// set selection is a mask and tag extraction a shift. `index` runs on
-    /// every demand access at every level, where a 64-bit divide is
-    /// measurable.
+    /// set selection is a mask and tag extraction a shift (and rebuilding
+    /// an evicted line's address the reverse). `index` runs on every demand
+    /// access at every level and `fill` on every miss, where a 64-bit
+    /// divide is measurable.
     set_mask: u64,
     set_shift: u32,
     ways: usize,
@@ -222,7 +223,7 @@ impl SetAssocCache {
                 self.stats.writebacks += 1;
             }
             Some(Victim {
-                line: LineAddr(w.tag * self.set_count + (line.0 % self.set_count)),
+                line: LineAddr((w.tag << self.set_shift) | (line.0 & self.set_mask)),
                 dirty: w.dirty,
             })
         } else {

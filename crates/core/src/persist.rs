@@ -144,4 +144,51 @@ mod tests {
         let err = ProfileLut::load_json(&path).unwrap_err();
         assert!(matches!(err, PersistError::Format(_)));
     }
+
+    #[test]
+    fn deeply_nested_input_is_a_format_error() {
+        // 100 000 `[` (100 KB) is deep enough to overflow the stack of a
+        // recursive parser without a nesting limit.
+        let path = tmp("deep.json");
+        std::fs::create_dir_all(path.parent().unwrap()).unwrap();
+        std::fs::write(&path, "[".repeat(100_000)).unwrap();
+        let err = ProfileLut::load_json(&path).unwrap_err();
+        assert!(matches!(err, PersistError::Format(_)), "{err}");
+        let err = ClassifiedApp::load_json(&path).unwrap_err();
+        assert!(matches!(err, PersistError::Format(_)), "{err}");
+    }
+
+    #[test]
+    fn truncated_sidecars_are_format_errors() {
+        let cfg = ProfileConfig {
+            warmup_instrs: 10_000,
+            measure_instrs: 20_000,
+            ..ProfileConfig::quick()
+        };
+        let lut = profile_app(&app_by_name("mcf"), InputSet::training(), &cfg);
+        let classified = classify_lut(&lut, Thresholds::default(), AppThresholds::default());
+        let lut_path = tmp("mcf.profile.json");
+        let cls_path = tmp("mcf.classes.json");
+        lut.save_json(&lut_path).unwrap();
+        classified.save_json(&cls_path).unwrap();
+        let cut_path = tmp("truncated.json");
+        for (path, is_lut) in [(&lut_path, true), (&cls_path, false)] {
+            let body = std::fs::read_to_string(path).unwrap();
+            let n = body.len();
+            for cut in [0, 1, n / 3, n / 2, n - 2, n - 1] {
+                let cut = (0..=cut).rev().find(|&c| body.is_char_boundary(c)).unwrap();
+                std::fs::write(&cut_path, &body[..cut]).unwrap();
+                let err = if is_lut {
+                    ProfileLut::load_json(&cut_path).map(|_| ()).unwrap_err()
+                } else {
+                    ClassifiedApp::load_json(&cut_path).map(|_| ()).unwrap_err()
+                };
+                assert!(
+                    matches!(err, PersistError::Format(_)),
+                    "{} cut at {cut} of {n}: {err}",
+                    path.display()
+                );
+            }
+        }
+    }
 }

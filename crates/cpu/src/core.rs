@@ -7,6 +7,7 @@ use moca_common::{CoreId, Cycle, Segment, VirtAddr};
 use moca_telemetry::attribution::{AttrSnapshot, CoreAttr, Mechanism};
 use serde::{Deserialize, Serialize};
 use std::collections::VecDeque;
+use std::num::NonZeroU64;
 
 /// Microarchitectural parameters (Table I defaults).
 #[derive(Debug, Clone, Serialize, Deserialize)]
@@ -87,6 +88,12 @@ struct RobEntry {
     is_load: bool,
     llc_miss: bool,
     tag: Option<MemTag>,
+    /// Seq of the waiting load whose address depends on this entry, set
+    /// when that load dispatches while this one is not yet done. There is
+    /// at most one: a load depends on the previous load of its chain only.
+    /// A dependent is always younger than its producer, so its seq is never
+    /// zero.
+    dependent: Option<NonZeroU64>,
 }
 
 #[derive(Debug, Clone, Copy)]
@@ -94,7 +101,16 @@ struct WaitingLoad {
     seq: u64,
     va: VirtAddr,
     tag: MemTag,
+    /// Producer of this load's address. Read only by the ROB-lookup
+    /// oracles (`blocked_on_memory`, `next_local_event`) that cross-check
+    /// `dep_at` in debug builds.
     dep_seq: Option<u64>,
+    /// First cycle the dependency is resolved: 0 when there is none or the
+    /// producer has committed, the producer's `ready_at` once it is done,
+    /// and `Cycle::MAX` until then. Written when the producer becomes done,
+    /// so the issue stage and the scheduler query compare one cycle instead
+    /// of looking the producer up in the ROB every tick.
+    dep_at: Cycle,
 }
 
 /// One simulated core.
@@ -352,19 +368,11 @@ impl Core {
             }
         }
         for w in &self.waiting {
-            match w.dep_seq {
-                None => return None, // issuable immediately
-                Some(seq) => match self.find(seq) {
-                    None => return None, // dependency already committed
-                    Some(e) if e.done => {
-                        if e.ready_at <= now {
-                            return None; // dependency resolved
-                        }
-                        next = next.min(e.ready_at);
-                    }
-                    Some(_) => {}
-                },
+            if w.dep_at <= now {
+                return None; // issuable
             }
+            // `Cycle::MAX` (producer still outstanding) leaves `next` as is.
+            next = next.min(w.dep_at);
         }
         if self.can_dispatch_something(now) {
             return None;
@@ -381,9 +389,9 @@ impl Core {
     /// ROB lookup by sequence number. Sequence numbers are handed out
     /// consecutively at dispatch and entries retire in order from the
     /// front, so entry `seq` lives at offset `seq - front.seq` — an O(1)
-    /// index computation instead of a binary search. This runs once per
-    /// waiting load per tick (issue scan and `sleep_state`), which made
-    /// the search the hottest comparison loop in the core model.
+    /// index computation instead of a binary search. `find_mut` runs
+    /// whenever an entry becomes done and whenever a dependent load
+    /// dispatches; this form serves the ROB-lookup oracles.
     fn find(&self, seq: u64) -> Option<&RobEntry> {
         let front = self.rob.front()?.seq;
         let idx = usize::try_from(seq.checked_sub(front)?).ok()?;
@@ -403,6 +411,22 @@ impl Core {
         let front = self.rob.front()?.seq;
         let idx = usize::try_from(seq.checked_sub(front)?).ok()?;
         self.rob.get_mut(idx).filter(|e| e.seq == seq)
+    }
+
+    /// Mark ROB entry `seq` done with its result at `ready_at`, and publish
+    /// that cycle to its waiting dependent. The dependent is still waiting:
+    /// it cannot issue before its producer is done.
+    fn mark_done(&mut self, seq: u64, ready_at: Cycle) {
+        let Some(e) = self.find_mut(seq) else { return };
+        e.done = true;
+        e.ready_at = ready_at;
+        if let Some(d) = e.dependent {
+            let found = self.waiting.binary_search_by_key(&d.get(), |w| w.seq);
+            debug_assert!(found.is_ok(), "dependent load {d} is not waiting");
+            if let Ok(i) = found {
+                self.waiting[i].dep_at = ready_at;
+            }
+        }
     }
 
     fn dep_resolved(&self, dep: Option<u64>, now: Cycle) -> bool {
@@ -429,10 +453,7 @@ impl Core {
                 // need this ticket (the head load completed *at* `now`).
                 a.note_completion(ticket, seq);
             }
-            if let Some(e) = self.find_mut(seq) {
-                e.done = true;
-                e.ready_at = now;
-            }
+            self.mark_done(seq, now);
         }
     }
 
@@ -580,16 +601,18 @@ impl Core {
         let mut mshr_retry = false;
         while i < self.waiting.len() && issued < self.cfg.width {
             let w = self.waiting[i];
-            if !self.dep_resolved(w.dep_seq, now) {
+            debug_assert_eq!(
+                w.dep_at <= now,
+                self.dep_resolved(w.dep_seq, now),
+                "cached dependency-ready cycle diverged from the ROB lookup"
+            );
+            if w.dep_at > now {
                 i += 1;
                 continue;
             }
             match port.load(now, self.id, w.va, w.tag) {
                 MemReply::Done { ready_at } => {
-                    if let Some(e) = self.find_mut(w.seq) {
-                        e.done = true;
-                        e.ready_at = ready_at.max(now + 1);
-                    }
+                    self.mark_done(w.seq, ready_at.max(now + 1));
                     self.waiting.remove(i);
                     issued += 1;
                 }
@@ -717,6 +740,7 @@ impl Core {
                         is_load: false,
                         llc_miss: false,
                         tag: None,
+                        dependent: None,
                     });
                     self.pc += 4;
                 }
@@ -728,6 +752,7 @@ impl Core {
                         is_load: false,
                         llc_miss: false,
                         tag: None,
+                        dependent: None,
                     });
                     self.pc = target.map_or(self.pc + 4, |t| t.0);
                     if mispredict {
@@ -756,19 +781,31 @@ impl Core {
                         is_load: true,
                         llc_miss: false,
                         tag: Some(tag),
+                        dependent: None,
                     });
+                    let dep_seq = if dependent {
+                        self.last_load_by_chain
+                            .iter()
+                            .find(|&&(c, _)| c == chain)
+                            .map(|&(_, s)| s)
+                    } else {
+                        None
+                    };
+                    let dep_at = match dep_seq.and_then(|d| self.find_mut(d)) {
+                        None => 0, // independent, or the producer committed
+                        Some(p) if p.done => p.ready_at,
+                        Some(p) => {
+                            debug_assert!(p.dependent.is_none(), "chains are linear");
+                            p.dependent = NonZeroU64::new(seq);
+                            Cycle::MAX
+                        }
+                    };
                     self.waiting.push(WaitingLoad {
                         seq,
                         va,
                         tag,
-                        dep_seq: if dependent {
-                            self.last_load_by_chain
-                                .iter()
-                                .find(|&&(c, _)| c == chain)
-                                .map(|&(_, s)| s)
-                        } else {
-                            None
-                        },
+                        dep_seq,
+                        dep_at,
                     });
                     match self.last_load_by_chain.iter_mut().find(|e| e.0 == chain) {
                         Some(e) => e.1 = seq,
@@ -791,6 +828,7 @@ impl Core {
                         is_load: false,
                         llc_miss: false,
                         tag: Some(tag),
+                        dependent: None,
                     });
                     self.pc += 4;
                 }

@@ -40,7 +40,7 @@ pub struct MemRequest {
 }
 
 /// Completion record for a read request.
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct Completion {
     /// Token from the original request.
     pub token: u64,
@@ -107,7 +107,7 @@ impl ChannelConfig {
 }
 
 /// Aggregate statistics of one channel.
-#[derive(Debug, Clone, Copy, Default, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Serialize, Deserialize)]
 pub struct ChannelStats {
     /// Read requests completed.
     pub reads: u64,
@@ -367,13 +367,21 @@ impl Channel {
         best
     }
 
-    /// True when [`Channel::tick`] at `now` would not change any state: the
-    /// channel holds no work and no refresh window would start this cycle.
-    /// The refresh predicate mirrors `tick_impl` exactly, so gating ticks on
-    /// this keeps refresh slip (idle channels refresh at the first *ticked*
-    /// cycle ≥ `next_refresh_at`) bit-identical with the ungated engine.
+    /// True when [`Channel::tick`] at `now` would not change any state: both
+    /// queues are empty and no write drain is latched (so the hysteresis
+    /// would store the `false` it holds and the scheduler has nothing to
+    /// pick), no in-flight read finishes by `now`, and no refresh window
+    /// would start this cycle. Reads may still be in flight: the cycles
+    /// between an issue and its completion need no tick. The refresh
+    /// predicate mirrors `tick_impl` exactly, so gating ticks on this keeps
+    /// refresh slip (a channel without queued work refreshes at the first
+    /// *ticked* cycle ≥ `next_refresh_at`) bit-identical with the ungated
+    /// engine.
     pub fn tick_is_noop(&self, now: Cycle) -> bool {
-        self.is_idle()
+        self.readq.is_empty()
+            && self.writeq.is_empty()
+            && !self.drain_writes
+            && self.min_inflight_finish > now
             && !(now >= self.next_refresh_at
                 && self.refresh_until <= now
                 && self.bus_free_at <= now)
@@ -901,6 +909,79 @@ mod tests {
         let g = out_g[0];
         let p = out_p[0];
         assert_eq!((g.finish, g.queue_cycles), (p.finish, p.queue_cycles));
+    }
+
+    #[test]
+    fn noop_gate_matches_ungated_ticking_under_mixed_traffic() {
+        // Seeded reads and write bursts: the write queue crosses the drain
+        // thresholds (24 up, 8 down), quiet phases leave reads in flight
+        // with empty queues and span refresh boundaries. Ticking only when
+        // `tick_is_noop` is false must deliver the same completions on the
+        // same cycles, and leave the same stats and per-bank activates, as
+        // ticking every cycle.
+        let t = DeviceTiming::ddr3();
+        let rows = t.row_buffer_bytes * t.banks as u64;
+        for seed in 1..=3u64 {
+            let mut gated = ddr3_channel();
+            let mut plain = ddr3_channel();
+            let (mut out_g, mut out_p) = (Vec::new(), Vec::new());
+            let mut buf = Vec::new();
+            let mut rng = moca_common::rng::DetRng::new(seed, 0);
+            let (mut inflight_only_skips, mut drains, mut token) = (0u64, 0u64, 0u64);
+            let mut phase = 0;
+            for now in 1..=60_000u64 {
+                if now % 1500 == 0 {
+                    phase = rng.below(4);
+                }
+                let (read_p, write_p) = match phase {
+                    0 => (125, 0),
+                    1 => (60, 500),
+                    2 => (0, 0),
+                    _ => (20, 10),
+                };
+                for (kind, p) in [(AccessKind::Read, read_p), (AccessKind::Write, write_p)] {
+                    if rng.below(1000) < p && plain.can_accept(kind) {
+                        // Few rows per bank, so hits, misses and conflicts mix.
+                        let off = rng.below(4) * rows + rng.below(rows / 64) * 64;
+                        let mut req = read_req(token, off);
+                        req.kind = kind;
+                        token += 1;
+                        assert!(gated.can_accept(kind));
+                        gated.enqueue(now - 1, req);
+                        plain.enqueue(now - 1, req);
+                    }
+                }
+                if gated.tick_is_noop(now) {
+                    if !gated.inflight.is_empty() {
+                        inflight_only_skips += 1;
+                    }
+                } else {
+                    gated.tick(now, &mut buf);
+                    out_g.extend(buf.drain(..).map(|c| (now, c)));
+                }
+                let was_draining = plain.drain_writes;
+                plain.tick(now, &mut buf);
+                out_p.extend(buf.drain(..).map(|c| (now, c)));
+                drains += u64::from(was_draining && !plain.drain_writes);
+            }
+            assert_eq!(out_g, out_p, "seed {seed}: completion sequences differ");
+            assert_eq!(gated.stats(), plain.stats(), "seed {seed}");
+            assert_eq!(
+                gated.bank_activates(),
+                plain.bank_activates(),
+                "seed {seed}"
+            );
+            assert!(drains >= 3, "seed {seed}: {drains} write drains");
+            assert!(
+                inflight_only_skips > 1000,
+                "seed {seed}: {inflight_only_skips}"
+            );
+            assert!(plain.stats().refreshes >= 7, "seed {seed}");
+            assert!(
+                plain.stats().row_hits > 0 && !out_p.is_empty(),
+                "seed {seed}"
+            );
+        }
     }
 
     #[test]

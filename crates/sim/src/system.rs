@@ -545,8 +545,8 @@ impl System {
         // 1. DRAM completions → cache fills → core wakeups.
         comps.clear();
         for (ci, ch) in self.channels.iter_mut().enumerate() {
-            // Idle gating: a channel with no queued or in-flight work only
-            // needs a tick on the cycle its refresh window opens.
+            // Gating: a channel with empty queues needs a tick only on the
+            // cycle a read completes or its refresh window opens.
             if ch.tick_is_noop(now) {
                 continue;
             }

@@ -152,14 +152,26 @@ fn write_string(s: &str, out: &mut String) {
 // Parser
 // ---------------------------------------------------------------------------
 
+/// Deepest array/object nesting [`parse`] accepts (serde_json's default
+/// recursion limit). The parser recurses once per level, so without a
+/// bound 100 KB of `[` would overflow the stack and abort the process
+/// instead of returning an error.
+const MAX_DEPTH: usize = 128;
+
 struct Parser<'a> {
     text: &'a str,
     pos: usize,
+    /// Arrays and objects currently open.
+    depth: usize,
 }
 
 /// Parse JSON text into a [`Value`] tree.
 pub fn parse(s: &str) -> Result<Value, Error> {
-    let mut p = Parser { text: s, pos: 0 };
+    let mut p = Parser {
+        text: s,
+        pos: 0,
+        depth: 0,
+    };
     p.skip_ws();
     let v = p.value()?;
     p.skip_ws();
@@ -208,11 +220,22 @@ impl<'a> Parser<'a> {
             Some(b't') => self.literal("true", Value::Bool(true)),
             Some(b'f') => self.literal("false", Value::Bool(false)),
             Some(b'"') => self.string().map(Value::Str),
-            Some(b'[') => self.array(),
-            Some(b'{') => self.object(),
+            Some(b'[') => self.nested(Self::array),
+            Some(b'{') => self.nested(Self::object),
             Some(b'-' | b'0'..=b'9') => self.number(),
             _ => Err(self.err("expected a JSON value")),
         }
+    }
+
+    /// Parse one array or object, one level deeper than the current one.
+    fn nested(&mut self, parse: fn(&mut Self) -> Result<Value, Error>) -> Result<Value, Error> {
+        if self.depth == MAX_DEPTH {
+            return Err(self.err(&format!("nesting deeper than {MAX_DEPTH}")));
+        }
+        self.depth += 1;
+        let v = parse(self)?;
+        self.depth -= 1;
+        Ok(v)
     }
 
     fn array(&mut self) -> Result<Value, Error> {
@@ -459,6 +482,20 @@ mod tests {
     /// A parser that rescans the rest of the document per character takes
     /// about 16x. The bound is a ratio of best-of-5 times, with the two sizes
     /// timed alternately so host load hits both, so it holds on any host.
+    #[test]
+    fn nesting_is_bounded() {
+        let nest = |n: usize| format!("{}{}", "[".repeat(n), "]".repeat(n));
+        assert!(parse(&nest(MAX_DEPTH)).is_ok());
+        let mixed = format!("{}1{}", "{\"a\":[".repeat(64), "]}".repeat(64));
+        assert!(parse(&mixed).is_ok());
+        let e = parse(&nest(MAX_DEPTH + 1)).unwrap_err().to_string();
+        assert_eq!(e, format!("nesting deeper than 128 at byte {MAX_DEPTH}"));
+        // Deep enough to overflow the stack of an unbounded recursive parser.
+        let e = parse(&"[".repeat(100_000)).unwrap_err().to_string();
+        assert!(e.contains("nesting deeper than 128 at byte 128"), "{e}");
+        assert!(parse(&"{\"k\":".repeat(100_000)).is_err());
+    }
+
     #[test]
     fn parse_time_is_linear_in_document_size() {
         let first = Value::Object(vec![

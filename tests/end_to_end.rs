@@ -266,3 +266,27 @@ fn repro_quick_output_defaults_to_results_quick() {
     assert!(dir.join("results/table1.json").is_file());
     let _ = std::fs::remove_dir_all(&dir);
 }
+
+/// `moca-bench diff` on a pathologically nested file (100 000 `[`, deep
+/// enough to overflow the stack of a recursive parser without a nesting
+/// limit and abort the process) exits 2 with a parse error, like any other
+/// malformed input.
+#[test]
+fn moca_bench_diff_rejects_deeply_nested_input() {
+    let dir = std::env::temp_dir().join(format!("moca-diff-deep-{}", std::process::id()));
+    std::fs::create_dir_all(&dir).unwrap();
+    let deep = dir.join("deep.json");
+    std::fs::write(&deep, "[".repeat(100_000)).unwrap();
+    let out = std::process::Command::new(env!("CARGO_BIN_EXE_moca-bench"))
+        .args(["diff"])
+        .args([&deep, &deep])
+        .output()
+        .expect("moca-bench runs");
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert_eq!(out.status.code(), Some(2), "stderr: {stderr}");
+    assert!(
+        stderr.contains("nesting deeper than 128 at byte 128"),
+        "{stderr}"
+    );
+    let _ = std::fs::remove_dir_all(&dir);
+}
