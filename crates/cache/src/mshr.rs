@@ -27,6 +27,17 @@ pub enum MshrOutcome {
     Full,
 }
 
+/// Result of one pass over the file for a line: the slot that holds it,
+/// else the first free slot (`None` when the file is full). Valid until the
+/// file is next mutated; [`MshrFile::on_miss`] consumes it.
+#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+pub enum MshrProbe {
+    /// The line has an outstanding entry in this slot.
+    Pending(usize),
+    /// The line has no entry; the first free slot, if any.
+    Absent(Option<usize>),
+}
+
 /// One register: a line with its waiter list. Invalid slots keep their
 /// waiter `Vec` so its allocation is reused for the lifetime of the file.
 #[derive(Debug, Clone)]
@@ -70,22 +81,39 @@ impl<W> MshrFile<W> {
         self.slots.iter().position(|s| s.valid && s.line == line)
     }
 
-    /// Present a miss on `line` with waiter `w`.
-    pub fn on_miss(&mut self, line: LineAddr, w: W) -> MshrOutcome {
-        if let Some(i) = self.find(line) {
-            self.slots[i].waiters.push(w);
-            self.merges += 1;
-            return MshrOutcome::MergedSecondary;
+    /// Look `line` up in one pass: its slot if it is outstanding, else the
+    /// first free slot.
+    pub fn probe(&self, line: LineAddr) -> MshrProbe {
+        let mut free = None;
+        for (i, s) in self.slots.iter().enumerate() {
+            if !s.valid {
+                free = free.or(Some(i));
+            } else if s.line == line {
+                return MshrProbe::Pending(i);
+            }
         }
-        if self.occupancy >= self.slots.len() {
-            self.full_stalls += 1;
-            return MshrOutcome::Full;
-        }
-        let free = self
-            .slots
-            .iter()
-            .position(|s| !s.valid)
-            .expect("occupancy below capacity implies a free slot");
+        MshrProbe::Absent(free)
+    }
+
+    /// Present a miss on `line` with waiter `w`. `probe` is
+    /// [`MshrFile::probe`]'s result for `line`, taken with no mutation of
+    /// the file since, so a caller that has checked for a merge does not
+    /// scan the file again to allocate.
+    pub fn on_miss(&mut self, probe: MshrProbe, line: LineAddr, w: W) -> MshrOutcome {
+        debug_assert_eq!(probe, self.probe(line), "stale MSHR probe");
+        let free = match probe {
+            MshrProbe::Pending(i) => {
+                self.slots[i].waiters.push(w);
+                self.merges += 1;
+                return MshrOutcome::MergedSecondary;
+            }
+            MshrProbe::Absent(None) => {
+                debug_assert!(self.is_full(), "no free slot below capacity");
+                self.full_stalls += 1;
+                return MshrOutcome::Full;
+            }
+            MshrProbe::Absent(Some(free)) => free,
+        };
         let slot = &mut self.slots[free];
         slot.valid = true;
         slot.line = line;
@@ -151,11 +179,15 @@ impl<W> MshrFile<W> {
 mod tests {
     use super::*;
 
+    fn miss(m: &mut MshrFile<u32>, line: LineAddr, w: u32) -> MshrOutcome {
+        m.on_miss(m.probe(line), line, w)
+    }
+
     #[test]
     fn allocates_then_merges() {
         let mut m: MshrFile<u32> = MshrFile::new(2);
-        assert_eq!(m.on_miss(LineAddr(1), 10), MshrOutcome::AllocatedPrimary);
-        assert_eq!(m.on_miss(LineAddr(1), 11), MshrOutcome::MergedSecondary);
+        assert_eq!(miss(&mut m, LineAddr(1), 10), MshrOutcome::AllocatedPrimary);
+        assert_eq!(miss(&mut m, LineAddr(1), 11), MshrOutcome::MergedSecondary);
         assert_eq!(m.occupancy(), 1);
         assert_eq!(m.merges(), 1);
         let waiters = m.complete(LineAddr(1));
@@ -166,29 +198,29 @@ mod tests {
     #[test]
     fn full_rejects_new_lines_but_merges_existing() {
         let mut m: MshrFile<u32> = MshrFile::new(2);
-        m.on_miss(LineAddr(1), 1);
-        m.on_miss(LineAddr(2), 2);
+        miss(&mut m, LineAddr(1), 1);
+        miss(&mut m, LineAddr(2), 2);
         assert!(m.is_full());
-        assert_eq!(m.on_miss(LineAddr(3), 3), MshrOutcome::Full);
-        assert_eq!(m.on_miss(LineAddr(2), 4), MshrOutcome::MergedSecondary);
+        assert_eq!(miss(&mut m, LineAddr(3), 3), MshrOutcome::Full);
+        assert_eq!(miss(&mut m, LineAddr(2), 4), MshrOutcome::MergedSecondary);
         assert_eq!(m.full_stalls(), 1);
     }
 
     #[test]
     fn completion_frees_slot() {
         let mut m: MshrFile<u32> = MshrFile::new(1);
-        m.on_miss(LineAddr(7), 1);
+        miss(&mut m, LineAddr(7), 1);
         assert!(m.is_full());
         m.complete(LineAddr(7));
-        assert_eq!(m.on_miss(LineAddr(8), 2), MshrOutcome::AllocatedPrimary);
+        assert_eq!(miss(&mut m, LineAddr(8), 2), MshrOutcome::AllocatedPrimary);
     }
 
     #[test]
     fn peak_occupancy_tracks_high_water() {
         let mut m: MshrFile<u32> = MshrFile::new(4);
-        m.on_miss(LineAddr(1), 1);
-        m.on_miss(LineAddr(2), 2);
-        m.on_miss(LineAddr(3), 3);
+        miss(&mut m, LineAddr(1), 1);
+        miss(&mut m, LineAddr(2), 2);
+        miss(&mut m, LineAddr(3), 3);
         m.complete(LineAddr(1));
         m.complete(LineAddr(2));
         assert_eq!(m.peak_occupancy(), 3);
@@ -202,16 +234,79 @@ mod tests {
     }
 
     #[test]
+    fn probe_reports_the_line_or_the_first_free_slot() {
+        let mut m: MshrFile<u32> = MshrFile::new(3);
+        assert_eq!(m.probe(LineAddr(1)), MshrProbe::Absent(Some(0)));
+        miss(&mut m, LineAddr(1), 1);
+        miss(&mut m, LineAddr(2), 2);
+        miss(&mut m, LineAddr(3), 3);
+        assert_eq!(m.probe(LineAddr(4)), MshrProbe::Absent(None));
+        assert_eq!(m.probe(LineAddr(3)), MshrProbe::Pending(2));
+        m.complete(LineAddr(2));
+        assert_eq!(m.probe(LineAddr(3)), MshrProbe::Pending(2));
+        assert_eq!(m.probe(LineAddr(4)), MshrProbe::Absent(Some(1)));
+        assert_eq!(miss(&mut m, LineAddr(4), 4), MshrOutcome::AllocatedPrimary);
+        assert_eq!(m.probe(LineAddr(4)), MshrProbe::Pending(1));
+    }
+
+    #[test]
+    fn one_pass_misses_match_the_three_scan_reference() {
+        // Reference: merge check, full check, then a scan for the first
+        // free slot, each a pass of its own over `(line, waiters)` slots.
+        let mut m: MshrFile<u32> = MshrFile::new(5);
+        let mut reference: Vec<Option<(LineAddr, Vec<u32>)>> = vec![None; 5];
+        let (mut merges, mut full_stalls) = (0, 0);
+        let mut x: u64 = 0x9E37_79B9_7F4A_7C15;
+        for w in 0..10_000u32 {
+            x ^= x << 13;
+            x ^= x >> 7;
+            x ^= x << 17;
+            let line = LineAddr(x % 9);
+            let at = reference
+                .iter()
+                .position(|s| s.as_ref().is_some_and(|s| s.0 == line));
+            if x & 0x300 == 0 {
+                let waiters = at.and_then(|i| reference[i].take()).map(|s| s.1);
+                assert_eq!(m.complete(line), waiters.unwrap_or_default());
+                continue;
+            }
+            let expected = if let Some(i) = at {
+                reference[i].as_mut().unwrap().1.push(w);
+                merges += 1;
+                MshrOutcome::MergedSecondary
+            } else if reference.iter().all(Option::is_some) {
+                full_stalls += 1;
+                MshrOutcome::Full
+            } else {
+                let free = reference.iter().position(Option::is_none).unwrap();
+                reference[free] = Some((line, vec![w]));
+                MshrOutcome::AllocatedPrimary
+            };
+            assert_eq!(miss(&mut m, line, w), expected);
+            // Same slot choice: the probe sees the line where the
+            // reference put it.
+            let slot = reference
+                .iter()
+                .position(|s| s.as_ref().is_some_and(|s| s.0 == line));
+            if let Some(i) = slot {
+                assert_eq!(m.probe(line), MshrProbe::Pending(i));
+            }
+        }
+        assert_eq!((m.merges(), m.full_stalls()), (merges, full_stalls));
+        assert!(merges > 0 && full_stalls > 0);
+    }
+
+    #[test]
     fn complete_into_appends_and_reuses_slot() {
         let mut m: MshrFile<u32> = MshrFile::new(2);
-        m.on_miss(LineAddr(1), 10);
-        m.on_miss(LineAddr(1), 11);
+        miss(&mut m, LineAddr(1), 10);
+        miss(&mut m, LineAddr(1), 11);
         let mut out = vec![9];
         m.complete_into(LineAddr(1), &mut out);
         assert_eq!(out, vec![9, 10, 11]);
         // The slot is free again and merges still work after reuse.
-        assert_eq!(m.on_miss(LineAddr(5), 1), MshrOutcome::AllocatedPrimary);
-        assert_eq!(m.on_miss(LineAddr(5), 2), MshrOutcome::MergedSecondary);
+        assert_eq!(miss(&mut m, LineAddr(5), 1), MshrOutcome::AllocatedPrimary);
+        assert_eq!(miss(&mut m, LineAddr(5), 2), MshrOutcome::MergedSecondary);
         assert_eq!(m.complete(LineAddr(5)), vec![1, 2]);
     }
 }

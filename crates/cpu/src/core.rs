@@ -3,10 +3,10 @@
 use crate::instr::{Instr, InstrStream};
 use crate::stats::CoreStats;
 use moca_common::ids::MemTag;
+use moca_common::units::narrow_usize;
 use moca_common::{CoreId, Cycle, Segment, VirtAddr};
 use moca_telemetry::attribution::{AttrSnapshot, CoreAttr, Mechanism};
 use serde::{Deserialize, Serialize};
-use std::collections::VecDeque;
 use std::num::NonZeroU64;
 
 /// Microarchitectural parameters (Table I defaults).
@@ -80,7 +80,7 @@ pub trait MemPort {
     fn ifetch(&mut self, now: Cycle, core: CoreId, va: VirtAddr) -> MemReply;
 }
 
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 struct RobEntry {
     seq: u64,
     done: bool,
@@ -96,6 +96,7 @@ struct RobEntry {
     dependent: Option<NonZeroU64>,
 }
 
+/// A dispatched load that has not issued yet.
 #[derive(Debug, Clone, Copy)]
 struct WaitingLoad {
     seq: u64,
@@ -107,10 +108,123 @@ struct WaitingLoad {
     dep_seq: Option<u64>,
     /// First cycle the dependency is resolved: 0 when there is none or the
     /// producer has committed, the producer's `ready_at` once it is done,
-    /// and `Cycle::MAX` until then. Written when the producer becomes done,
-    /// so the issue stage and the scheduler query compare one cycle instead
-    /// of looking the producer up in the ROB every tick.
+    /// and `Cycle::MAX` until then. A load at `Cycle::MAX` is *blocked* and
+    /// parked in the ROB ring; [`Core::mark_done`] writes the producer's
+    /// `ready_at` and moves it to the ready list.
     dep_at: Cycle,
+}
+
+/// The reorder buffer: a fixed power-of-two ring indexed by sequence
+/// number. Seqs are handed out consecutively at dispatch and entries retire
+/// in order, so the live entries are exactly seqs `head..tail` and entry
+/// `seq` sits in slot `seq & mask`: a lookup is one range check and one
+/// index. Beside each slot is the parking place of a blocked load (one
+/// whose chain producer is still outstanding), indexed by the load's own
+/// seq, so moving it to the ready list when the producer becomes done
+/// takes no search.
+struct Rob {
+    slots: Box<[RobEntry]>,
+    parked: Box<[Option<WaitingLoad>]>,
+    mask: u64,
+    head: u64,
+    tail: u64,
+}
+
+impl Rob {
+    fn new(entries: usize) -> Rob {
+        let cap = entries.next_power_of_two();
+        Rob {
+            slots: vec![RobEntry::default(); cap].into_boxed_slice(),
+            parked: vec![None; cap].into_boxed_slice(),
+            mask: cap as u64 - 1,
+            head: 0,
+            tail: 0,
+        }
+    }
+
+    fn slot(&self, seq: u64) -> usize {
+        narrow_usize(seq & self.mask)
+    }
+
+    fn len(&self) -> usize {
+        narrow_usize(self.tail - self.head)
+    }
+
+    fn is_empty(&self) -> bool {
+        self.head == self.tail
+    }
+
+    fn front(&self) -> Option<&RobEntry> {
+        self.get(self.head)
+    }
+
+    /// Slot of entry `seq`, or `None` unless it is in flight (not yet
+    /// dispatched, or already committed).
+    fn index(&self, seq: u64) -> Option<usize> {
+        (self.head..self.tail)
+            .contains(&seq)
+            .then(|| self.slot(seq))
+    }
+
+    fn get(&self, seq: u64) -> Option<&RobEntry> {
+        let e = &self.slots[self.index(seq)?];
+        debug_assert_eq!(e.seq, seq, "ROB slot does not hold its seq");
+        Some(e)
+    }
+
+    fn get_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
+        let i = self.index(seq)?;
+        let e = &mut self.slots[i];
+        debug_assert_eq!(e.seq, seq, "ROB slot does not hold its seq");
+        Some(e)
+    }
+
+    /// Append entry `e`, whose seq must be the next one.
+    fn push_back(&mut self, e: RobEntry) {
+        debug_assert_eq!(e.seq, self.tail, "ROB seqs must be consecutive");
+        debug_assert!(self.len() < self.slots.len(), "ROB ring overflow");
+        let i = self.slot(e.seq);
+        self.slots[i] = e;
+        self.tail += 1;
+    }
+
+    fn pop_front(&mut self) -> Option<RobEntry> {
+        let e = *self.front()?;
+        debug_assert!(
+            self.parked[self.slot(e.seq)].is_none(),
+            "a retiring entry still has a blocked load parked"
+        );
+        self.head += 1;
+        Some(e)
+    }
+
+    /// Park blocked load `w` in its own ROB entry's slot.
+    fn park(&mut self, w: WaitingLoad) {
+        debug_assert!(
+            self.get(w.seq).is_some(),
+            "parked load {} not in the ROB",
+            w.seq
+        );
+        let i = self.slot(w.seq);
+        debug_assert!(self.parked[i].is_none(), "parking slot taken");
+        self.parked[i] = Some(w);
+    }
+
+    /// Take the blocked load parked at `seq`, if any.
+    fn unpark(&mut self, seq: u64) -> Option<WaitingLoad> {
+        let i = self.slot(seq);
+        let w = self.parked[i].take();
+        debug_assert!(
+            w.is_none_or(|w| w.seq == seq),
+            "parking slot holds another seq"
+        );
+        w
+    }
+
+    /// Blocked loads in seq order, for the debug oracles.
+    fn parked(&self) -> impl Iterator<Item = &WaitingLoad> + '_ {
+        (self.head..self.tail).filter_map(|seq| self.parked[self.slot(seq)].as_ref())
+    }
 }
 
 /// One simulated core.
@@ -118,8 +232,11 @@ pub struct Core {
     /// Core identifier (used on memory requests).
     pub id: CoreId,
     cfg: CoreConfig,
-    rob: VecDeque<RobEntry>,
-    waiting: Vec<WaitingLoad>,
+    rob: Rob,
+    /// Waiting loads whose dependency-ready cycle is known, in seq order.
+    /// Blocked loads (`dep_at == Cycle::MAX`) are parked in the ROB ring
+    /// instead, so the per-tick scans never visit them.
+    ready: Vec<WaitingLoad>,
     /// Outstanding miss tickets → ROB sequence numbers. A flat vector, not
     /// an ordered map: lookups are by exact ticket and the slot order is
     /// never observable, while the population (bounded by the L2 MSHR
@@ -153,9 +270,9 @@ impl Core {
         let pc = cfg.code_base;
         Core {
             id,
+            rob: Rob::new(cfg.rob_entries),
             cfg,
-            rob: VecDeque::new(),
-            waiting: Vec::new(),
+            ready: Vec::new(),
             tickets: Vec::new(),
             ifetch_ticket: None,
             lq_used: 0,
@@ -268,7 +385,7 @@ impl Core {
             }
         }
         // Any waiting load that might issue (dependency resolved)?
-        for w in &self.waiting {
+        for w in self.waiting_loads() {
             if self.dep_resolved(w.dep_seq, now) {
                 return false;
             }
@@ -314,9 +431,9 @@ impl Core {
         if self.fetch_blocked_until > now {
             consider(self.fetch_blocked_until);
         }
-        for w in &self.waiting {
+        for w in self.waiting_loads() {
             if let Some(dep) = w.dep_seq {
-                if let Some(e) = self.find(dep) {
+                if let Some(e) = self.rob.get(dep) {
                     if e.done {
                         consider(e.ready_at);
                     }
@@ -326,18 +443,37 @@ impl Core {
         best
     }
 
+    /// Every waiting load, ready then blocked: the set the ROB-lookup
+    /// oracles walk.
+    fn waiting_loads(&self) -> impl Iterator<Item = &WaitingLoad> + '_ {
+        self.ready.iter().chain(self.rob.parked())
+    }
+
     /// Combined scheduler query for the event-skip path: `None` when the
     /// core can make progress at `now` (equivalent to
     /// `!blocked_on_memory(now)`); otherwise `Some(e)` where `e` is the
     /// earliest core-local cycle that could unblock it, or `Cycle::MAX`
-    /// when only a memory completion can. One pass over the waiting set
-    /// instead of the two that calling [`Core::blocked_on_memory`] and
-    /// [`Core::next_local_event`] separately would take; debug builds
-    /// cross-check against both.
+    /// when only a memory completion can. One pass over the ready loads
+    /// instead of the two passes over every waiting load that calling
+    /// [`Core::blocked_on_memory`] and [`Core::next_local_event`]
+    /// separately would take; debug builds cross-check against both.
     pub fn sleep_state(&self, now: Cycle) -> Option<Cycle> {
         let state = self.sleep_state_impl(now);
         #[cfg(debug_assertions)]
         {
+            debug_assert!(
+                self.ready.windows(2).all(|p| p[0].seq < p[1].seq),
+                "ready loads out of seq order"
+            );
+            for w in self.rob.parked() {
+                debug_assert!(
+                    w.dep_seq
+                        .and_then(|d| self.rob.get(d))
+                        .is_some_and(|p| !p.done),
+                    "blocked load {} has no outstanding producer",
+                    w.seq
+                );
+            }
             debug_assert_eq!(
                 state.is_some(),
                 self.blocked_on_memory(now),
@@ -367,11 +503,12 @@ impl Core {
                 next = next.min(h.ready_at);
             }
         }
-        for w in &self.waiting {
+        // Blocked loads are not visited: their `dep_at` is `Cycle::MAX`,
+        // which is never issuable and leaves `next` as is.
+        for w in &self.ready {
             if w.dep_at <= now {
                 return None; // issuable
             }
-            // `Cycle::MAX` (producer still outstanding) leaves `next` as is.
             next = next.min(w.dep_at);
         }
         if self.can_dispatch_something(now) {
@@ -386,53 +523,30 @@ impl Core {
         Some(next)
     }
 
-    /// ROB lookup by sequence number. Sequence numbers are handed out
-    /// consecutively at dispatch and entries retire in order from the
-    /// front, so entry `seq` lives at offset `seq - front.seq` — an O(1)
-    /// index computation instead of a binary search. `find_mut` runs
-    /// whenever an entry becomes done and whenever a dependent load
-    /// dispatches; this form serves the ROB-lookup oracles.
-    fn find(&self, seq: u64) -> Option<&RobEntry> {
-        let front = self.rob.front()?.seq;
-        let idx = usize::try_from(seq.checked_sub(front)?).ok()?;
-        let hit = self.rob.get(idx).filter(|e| e.seq == seq);
-        debug_assert_eq!(
-            hit.map(|e| e.seq),
-            {
-                let i = self.rob.partition_point(|e| e.seq < seq);
-                self.rob.get(i).filter(|e| e.seq == seq).map(|e| e.seq)
-            },
-            "dense ROB index diverged from binary search"
-        );
-        hit
-    }
-
-    fn find_mut(&mut self, seq: u64) -> Option<&mut RobEntry> {
-        let front = self.rob.front()?.seq;
-        let idx = usize::try_from(seq.checked_sub(front)?).ok()?;
-        self.rob.get_mut(idx).filter(|e| e.seq == seq)
-    }
-
     /// Mark ROB entry `seq` done with its result at `ready_at`, and publish
-    /// that cycle to its waiting dependent. The dependent is still waiting:
-    /// it cannot issue before its producer is done.
+    /// that cycle to its blocked dependent, which moves to the ready list
+    /// at its seq position. It still waits there: its `dep_at` is at least
+    /// `ready_at`.
     fn mark_done(&mut self, seq: u64, ready_at: Cycle) {
-        let Some(e) = self.find_mut(seq) else { return };
+        let Some(e) = self.rob.get_mut(seq) else {
+            return;
+        };
         e.done = true;
         e.ready_at = ready_at;
-        if let Some(d) = e.dependent {
-            let found = self.waiting.binary_search_by_key(&d.get(), |w| w.seq);
-            debug_assert!(found.is_ok(), "dependent load {d} is not waiting");
-            if let Ok(i) = found {
-                self.waiting[i].dep_at = ready_at;
-            }
+        let Some(d) = e.dependent.take() else { return };
+        let parked = self.rob.unpark(d.get());
+        debug_assert!(parked.is_some(), "dependent load {d} is not blocked");
+        if let Some(mut w) = parked {
+            w.dep_at = ready_at;
+            let i = self.ready.partition_point(|r| r.seq < w.seq);
+            self.ready.insert(i, w);
         }
     }
 
     fn dep_resolved(&self, dep: Option<u64>, now: Cycle) -> bool {
         match dep {
             None => true,
-            Some(seq) => match self.find(seq) {
+            Some(seq) => match self.rob.get(seq) {
                 None => true, // already committed
                 Some(e) => e.done && e.ready_at <= now,
             },
@@ -595,12 +709,13 @@ impl Core {
             }
         }
 
-        // ---- Issue stage: waiting loads whose dependencies resolved ----
+        // ---- Issue stage: ready loads whose dependencies resolved ----
+        // Oldest first; blocked loads cannot issue and are not visited.
         let mut issued = 0;
         let mut i = 0;
         let mut mshr_retry = false;
-        while i < self.waiting.len() && issued < self.cfg.width {
-            let w = self.waiting[i];
+        while i < self.ready.len() && issued < self.cfg.width {
+            let w = self.ready[i];
             debug_assert_eq!(
                 w.dep_at <= now,
                 self.dep_resolved(w.dep_seq, now),
@@ -612,8 +727,9 @@ impl Core {
             }
             match port.load(now, self.id, w.va, w.tag) {
                 MemReply::Done { ready_at } => {
+                    // A dependent moved to the ready list lands after `i`.
                     self.mark_done(w.seq, ready_at.max(now + 1));
-                    self.waiting.remove(i);
+                    self.ready.remove(i);
                     issued += 1;
                 }
                 MemReply::Pending { ticket, primary } => {
@@ -622,11 +738,11 @@ impl Core {
                     if primary {
                         s.llc_misses += 1;
                     }
-                    if let Some(e) = self.find_mut(w.seq) {
+                    if let Some(e) = self.rob.get_mut(w.seq) {
                         e.llc_miss = true;
                     }
                     self.tickets.push((ticket, w.seq));
-                    self.waiting.remove(i);
+                    self.ready.remove(i);
                     issued += 1;
                 }
                 MemReply::Retry { mshr_full } => {
@@ -791,7 +907,7 @@ impl Core {
                     } else {
                         None
                     };
-                    let dep_at = match dep_seq.and_then(|d| self.find_mut(d)) {
+                    let dep_at = match dep_seq.and_then(|d| self.rob.get_mut(d)) {
                         None => 0, // independent, or the producer committed
                         Some(p) if p.done => p.ready_at,
                         Some(p) => {
@@ -800,13 +916,19 @@ impl Core {
                             Cycle::MAX
                         }
                     };
-                    self.waiting.push(WaitingLoad {
+                    let w = WaitingLoad {
                         seq,
                         va,
                         tag,
                         dep_seq,
                         dep_at,
-                    });
+                    };
+                    if dep_at == Cycle::MAX {
+                        self.rob.park(w);
+                    } else {
+                        // The youngest load: pushing keeps the seq order.
+                        self.ready.push(w);
+                    }
                     match self.last_load_by_chain.iter_mut().find(|e| e.0 == chain) {
                         Some(e) => e.1 = seq,
                         None => self.last_load_by_chain.push((chain, seq)),

@@ -9,7 +9,7 @@
 //! bandwidth but never block the pipeline (a deferred queue absorbs
 //! full-queue backpressure).
 
-use moca_cache::mshr::MshrOutcome;
+use moca_cache::mshr::{MshrOutcome, MshrProbe};
 use moca_cache::{CacheConfig, MshrFile, SetAssocCache, Victim};
 use moca_common::ids::MemTag;
 use moca_common::{AccessKind, CoreId, Cycle, LineAddr, PhysAddr, Segment};
@@ -201,10 +201,13 @@ impl CoreHierarchy {
         tag: MemTag,
         tickets: &mut u64,
     ) -> MemReply {
+        // One pass over the MSHR file serves the merge check and the
+        // allocation: nothing below touches the file before `on_miss`.
+        let probe = self.l2_mshr.probe(line);
         // Merge into an in-flight miss for the same line.
-        if self.l2_mshr.pending(line) {
+        if let MshrProbe::Pending(_) = probe {
             let ticket = bump(tickets);
-            let outcome = self.l2_mshr.on_miss(line, ticket);
+            let outcome = self.l2_mshr.on_miss(probe, line, ticket);
             debug_assert_eq!(outcome, MshrOutcome::MergedSecondary);
             return MemReply::Pending {
                 ticket,
@@ -220,7 +223,7 @@ impl CoreHierarchy {
         }
         let ticket = bump(tickets);
         let token = bump(tickets);
-        let outcome = self.l2_mshr.on_miss(line, ticket);
+        let outcome = self.l2_mshr.on_miss(probe, line, ticket);
         debug_assert_eq!(outcome, MshrOutcome::AllocatedPrimary);
         self.outstanding.push((token, FillKind::Demand(line)));
         self.send(
